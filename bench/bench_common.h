@@ -19,6 +19,7 @@
 #include "baselines/pig_baseline.h"
 #include "baselines/starfish.h"
 #include "baselines/ysmart.h"
+#include "common/clock.h"
 #include "common/json.h"
 #include "common/result.h"
 #include "common/threading.h"
@@ -53,12 +54,6 @@ inline int ThreadsFlag(int argc, char** argv) {
                              ThreadPool::HardwareThreads()));
 }
 
-/// Wall-clock seconds since `t0`.
-inline double SecondsSince(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
 /// One workload, profiled and ready for plan comparisons.
 struct PreparedWorkload {
   Workload workload;  ///< plan carries profile annotations
@@ -82,8 +77,7 @@ inline Result<PreparedWorkload> Prepare(const std::string& abbr,
 /// simulated makespan is bit-identical either way.
 inline Result<double> Execute(const PreparedWorkload& pw, const Plan& plan,
                               ThreadPool* pool = nullptr) {
-  WorkflowRunner runner(pw.options.cluster, pool,
-                        ExecOptions{true, ColumnarStorageFromEnv()});
+  WorkflowRunner runner(pw.options.cluster, pool);
   Dfs dfs = pw.workload.dfs;
   STUBBY_ASSIGN_OR_RETURN(WorkflowDataflow flow, runner.Run(plan, &dfs));
   return flow.makespan_sec;
@@ -98,7 +92,6 @@ inline Result<OptimizeReport> RunStubbyReport(const PreparedWorkload& pw,
                                               bool enable_cache = true,
                                               ThreadPool* pool = nullptr) {
   StubbyOptions opts;
-  opts.columnar_storage = ColumnarStorageFromEnv();
   opts.enable_intra_vertical = vertical;
   opts.enable_inter_vertical = vertical;
   opts.enable_horizontal = horizontal;

@@ -564,7 +564,7 @@ bool RunProbeMemoStudy(Json* doc) {
 //   end-to-end: the full columnar storage boundary — zero-copy batch view
 //           of a column-native PartitionData in, Run, column-native
 //           PartitionData (with byte accounting) out. This is what a map
-//           task actually executes with columnar_storage on;
+//           task actually executes with vectorized_exec on;
 //   row-store end-to-end: kernel plus the per-chunk rows->columns and
 //           columns->rows conversions the executor paid before
 //           column-native storage (diagnostic, not gated).

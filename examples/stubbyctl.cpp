@@ -44,13 +44,12 @@
 #include "baselines/pig_baseline.h"
 #include "baselines/starfish.h"
 #include "baselines/ysmart.h"
+#include "common/env.h"
 #include "common/rng.h"
 #include "common/strings.h"
 #include "common/threading.h"
 #include "service/stubbyd.h"
-#include "exec/adaptive_runner.h"
 #include "exec/workflow_runner.h"
-#include "optimizer/bloom.h"
 #include "optimizer/stubby.h"
 #include "profiler/profiler.h"
 #include "reuse/session.h"
@@ -116,8 +115,7 @@ Result<Plan> OptimizeWith(const std::string& name, const Workload& w) {
   if (name == "ysmart") return YSmartOptimize(w.plan);
   if (name == "mrshare") return MRShareOptimize(w.plan);
   StubbyOptions opts;
-  opts.columnar_storage = ColumnarStorageFromEnv();
-  opts.bloom_transfer = BloomTransferFromEnv();
+  opts.bloom_transfer = EnvFlag("STUBBY_BLOOM");
   if (name == "vertical") {
     opts.enable_horizontal = false;
   } else if (name == "horizontal") {
@@ -137,8 +135,7 @@ Result<Plan> OptimizeWith(const std::string& name, const Workload& w) {
 }
 
 double RunPlan(const Workload& w, const Plan& plan, Dfs* out) {
-  WorkflowRunner runner(plan.cluster(), nullptr,
-                        ExecOptions{true, ColumnarStorageFromEnv()});
+  WorkflowRunner runner(plan.cluster());
   Dfs dfs = w.dfs;
   auto flow = runner.Run(plan, &dfs);
   STUBBY_CHECK_OK(flow.status());
@@ -245,7 +242,7 @@ int main(int argc, char** argv) {
     }
     sopts.soft_degrade_bytes = static_cast<uint64_t>(soft_mb) << 20;
     sopts.hard_degrade_bytes = static_cast<uint64_t>(hard_mb) << 20;
-    sopts.reoptimize = ReoptimizeFromEnv();
+    sopts.reoptimize = EnvFlag("STUBBY_REOPT");
     return sopts;
   };
   auto print_service_summary = [&](const StubbyService& service) {
@@ -299,7 +296,7 @@ int main(int argc, char** argv) {
       sub.tenant = "t" + std::to_string(rng.NextUint64(
                              static_cast<uint64_t>(tenants)));
       sub.name = e.name;
-      sub.options.bloom_transfer = BloomTransferFromEnv();
+      sub.options.bloom_transfer = EnvFlag("STUBBY_BLOOM");
       sub.plan = e.plan;
       sub.dfs = e.dfs;
       auto id = service.Submit(sub);
@@ -368,7 +365,7 @@ int main(int argc, char** argv) {
       Submission sub;
       sub.tenant = tenant;
       sub.name = abbr;
-      sub.options.bloom_transfer = BloomTransferFromEnv();
+      sub.options.bloom_transfer = EnvFlag("STUBBY_BLOOM");
       sub.plan = std::make_shared<const Plan>(std::move(w->plan));
       sub.dfs = std::make_shared<const Dfs>(std::move(w->dfs));
       STUBBY_CHECK_OK(service.Submit(std::move(sub)).status());
@@ -467,9 +464,8 @@ int main(int argc, char** argv) {
     }
     ReuseSession session(&store);
     StubbyOptions opts;
-    opts.columnar_storage = ColumnarStorageFromEnv();
-    opts.reoptimize = ReoptimizeFromEnv();
-    opts.bloom_transfer = BloomTransferFromEnv();
+    opts.reoptimize = EnvFlag("STUBBY_REOPT");
+    opts.bloom_transfer = EnvFlag("STUBBY_BLOOM");
 
     auto first = session.Run(w->plan, w->dfs, opts);
     STUBBY_CHECK_OK(first.status());

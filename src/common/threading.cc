@@ -95,17 +95,21 @@ void ThreadPool::DrainBatch(Batch* batch, size_t self) {
   const bool was_in_region = t_in_parallel_region;
   t_in_parallel_region = true;
   const auto t0 = std::chrono::steady_clock::now();
-  uint64_t ran = 0;
-  uint64_t stole = 0;
+  uint64_t busy_recorded = 0;
   for (;;) {
     Chunk c;
     bool stolen = false;
     if (!ClaimChunk(batch, self, &c, &stolen)) break;
     const size_t count = c.end - c.begin;
     batch->unclaimed.fetch_sub(count, std::memory_order_relaxed);
-    if (stolen) ++stole;
     for (size_t i = c.begin; i < c.end; ++i) (*batch->fn)(i);
-    ran += count;
+    // Stats land before the completion count below: the final increment
+    // releases the caller, whose stats() must already see this chunk.
+    stat_tasks_.fetch_add(count, std::memory_order_relaxed);
+    if (stolen) stat_steals_.fetch_add(1, std::memory_order_relaxed);
+    const uint64_t busy = UsecSince(t0);
+    stat_busy_usec_.fetch_add(busy - busy_recorded, std::memory_order_relaxed);
+    busy_recorded = busy;
     // Release pairs with the caller's acquire load in the done_cv_ wait,
     // ordering every task's writes before the caller observes completion.
     if (batch->done.fetch_add(count, std::memory_order_acq_rel) + count ==
@@ -116,9 +120,6 @@ void ThreadPool::DrainBatch(Batch* batch, size_t self) {
       done_cv_.notify_all();
     }
   }
-  stat_tasks_.fetch_add(ran, std::memory_order_relaxed);
-  stat_steals_.fetch_add(stole, std::memory_order_relaxed);
-  stat_busy_usec_.fetch_add(UsecSince(t0), std::memory_order_relaxed);
   t_in_parallel_region = was_in_region;
 }
 

@@ -1,16 +1,13 @@
 #include "exec/adaptive_runner.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <deque>
-#include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 
-#include "cost/phase_model.h"
-#include "cost/schedule.h"
 #include "cost/whatif.h"
-#include "optimizer/reoptimize.h"
+#include "exec/workflow_runner.h"
+#include "profiler/profiler.h"
 
 namespace stubby {
 
@@ -59,6 +56,62 @@ double MaxRelativeError(const JobDataflow& observed,
 
 }  // namespace
 
+Result<Plan> BuildSuffixPlan(const Plan& plan,
+                             const std::set<std::string>& executed,
+                             const Dfs& dfs) {
+  Plan suffix = plan;
+  for (const std::string& jid : executed) suffix.RemoveJob(jid);
+
+  std::vector<std::string> drop;
+  std::vector<std::string> promote;
+  for (const auto& [id, v] : suffix.datasets()) {
+    if (!suffix.ProducerOf(id).empty()) continue;  // still computed here
+    const bool consumed = !suffix.ConsumersOf(id).empty();
+    if (!consumed && !v.is_base_input) {
+      // Executed intermediates and already-written terminal outputs: done.
+      drop.push_back(id);
+      continue;
+    }
+    if (consumed) promote.push_back(id);
+  }
+  for (const std::string& id : drop) suffix.RemoveDataset(id);
+
+  for (const std::string& id : promote) {
+    STUBBY_ASSIGN_OR_RETURN(DatasetPtr ds, dfs.Get(id));
+    STUBBY_ASSIGN_OR_RETURN(DatasetVertex * v, suffix.GetMutableDataset(id));
+    v->is_base_input = true;
+    v->materialized_from.clear();
+    v->layout = ds->layout();
+    v->annotation.schema = ds->schema();
+    v->annotation.layout = ds->layout();
+    v->annotation.num_records = ds->logical_rows();
+    v->annotation.bytes = ds->logical_bytes();
+    v->annotation.num_partitions = static_cast<int>(ds->num_partitions());
+  }
+
+  STUBBY_RETURN_NOT_OK(suffix.Validate());
+  return suffix;
+}
+
+Result<OptimizeReport> ReoptimizeSuffix(const Plan& suffix, const Dfs& dfs,
+                                        const StubbyOptions& options,
+                                        ThreadPool* pool) {
+  // Corrected profiles: instrumented execution over the actual data. The
+  // scratch DFS copy shares immutable dataset payloads, so this costs one
+  // pass over the suffix, not a data copy.
+  Plan profiled = suffix;
+  Dfs scratch = dfs;
+  Profiler profiler(suffix.cluster());
+  STUBBY_RETURN_NOT_OK(profiler.ProfilePlan(&profiled, &scratch));
+
+  StubbyOptions opts = options;
+  opts.reuse_store = nullptr;
+  opts.reuse_dfs = nullptr;
+  opts.reoptimize = false;
+  opts.pool = pool;
+  return StubbyOptimizer(opts).Optimize(profiled);
+}
+
 std::string AdaptiveStats::ToString() const {
   std::ostringstream os;
   os << "jobs_executed=" << jobs_executed << " checks=" << checks
@@ -73,100 +126,56 @@ std::string AdaptiveStats::ToString() const {
   return os.str();
 }
 
-bool ReoptimizeFromEnv(bool fallback) {
-  const char* env = std::getenv("STUBBY_REOPT");
-  if (env == nullptr) return fallback;
-  return std::string(env) != "0";
-}
-
 Result<AdaptiveRunResult> AdaptiveRunner::Run(const Plan& plan,
                                               Dfs* dfs) const {
-  STUBBY_RETURN_NOT_OK(plan.Validate());
-  for (const auto& [id, ds] : plan.datasets()) {
-    if (ds.is_base_input && !dfs->Exists(id)) {
-      return Status::FailedPrecondition("base input dataset '" + id +
-                                        "' missing from DFS");
-    }
-  }
-
   AdaptiveRunResult out;
-  Plan current = plan;
   WhatIfEngine whatif(cluster_);
-  // Adaptivity needs a prediction to compare against; fallback-costed plans
-  // (annotations missing) execute exactly like WorkflowRunner.
-  CostEstimate predicted = whatif.Cost(current);
-  bool adaptive = options_.reoptimize && !predicted.fallback;
-
-  JobRunner job_runner(cluster_, pool_, exec_);
-  PhaseTimeModel model(cluster_);
-
-  STUBBY_ASSIGN_OR_RETURN(std::vector<std::string> order,
-                          current.TopologicalOrder());
-  std::deque<std::string> remaining(order.begin(), order.end());
-  std::set<std::string> executed_ids;
-  // Dataset id -> the executed job that wrote it: dependency fixup for
-  // suffix jobs whose inputs are promoted prefix outputs, so the composite
-  // schedule keeps the true cross-splice ordering constraints.
-  std::map<std::string, std::string> produced_by;
-  std::vector<ScheduledJob> scheduled;
-  WorkflowDataflow flow;
-
-  while (!remaining.empty()) {
-    const std::string jid = remaining.front();
-    remaining.pop_front();
-    STUBBY_ASSIGN_OR_RETURN(const JobVertex* job, current.GetJob(jid));
-    STUBBY_ASSIGN_OR_RETURN(JobDataflow df,
-                            job_runner.Run(current, *job, dfs));
-    ScheduledJob sj;
-    sj.id = jid;
-    sj.deps = current.UpstreamJobs(jid);
-    for (const std::string& in : job->InputDatasets()) {
-      auto it = produced_by.find(in);
-      if (it == produced_by.end()) continue;
-      if (std::find(sj.deps.begin(), sj.deps.end(), it->second) ==
-          sj.deps.end()) {
-        sj.deps.push_back(it->second);
-      }
-    }
-    sj.times = model.TaskTimes(df, job->config);
-    scheduled.push_back(std::move(sj));
-    for (const std::string& o : job->OutputDatasets()) produced_by[o] = jid;
-    executed_ids.insert(jid);
-    out.stats.executed_order.push_back(jid);
+  // Prediction for the plan currently executing, costed on first use (the
+  // loop validates the plan before the first job runs). Adaptivity needs a
+  // prediction to compare against; fallback-costed plans (annotations
+  // missing) execute exactly like a hook-less WorkflowRunner.
+  std::optional<CostEstimate> predicted;
+  bool adaptive = options_.reoptimize;
+  using Splice = std::optional<Plan>;
+  Splice last_splice;
+  auto reoptimize = [&](const Plan& current,
+                        const std::set<std::string>& executed,
+                        const JobDataflow& observed, bool jobs_remain,
+                        const Dfs& run_dfs) -> Result<Splice> {
+    out.stats.executed_order.push_back(observed.job_id);
     ++out.stats.jobs_executed;
-
-    const JobDataflow* pred = predicted.dataflow.FindJob(jid);
-    flow.jobs.push_back(std::move(df));
-    if (!adaptive || remaining.empty() || pred == nullptr) continue;
+    if (adaptive && !predicted.has_value()) {
+      predicted = whatif.Cost(current);
+      adaptive = !predicted->fallback;
+    }
+    if (!adaptive || !jobs_remain) return Splice();
+    const JobDataflow* pred = predicted->dataflow.FindJob(observed.job_id);
+    if (pred == nullptr) return Splice();
 
     ++out.stats.checks;
-    const double err = MaxRelativeError(flow.jobs.back(), *pred);
+    const double err = MaxRelativeError(observed, *pred);
     out.stats.max_rel_error = std::max(out.stats.max_rel_error, err);
-    if (err <= options_.reoptimize_threshold) continue;
+    if (err <= options_.reoptimize_threshold) return Splice();
 
     // The prediction was wrong enough to distrust the rest of the plan:
     // re-plan the remainder against observed reality and splice it in.
     STUBBY_ASSIGN_OR_RETURN(Plan suffix,
-                            BuildSuffixPlan(current, executed_ids, *dfs));
-    if (suffix.num_jobs() == 0) continue;
+                            BuildSuffixPlan(current, executed, run_dfs));
+    if (suffix.num_jobs() == 0) return Splice();
     STUBBY_ASSIGN_OR_RETURN(
         OptimizeReport replan,
-        ReoptimizeSuffix(suffix, *dfs, options_, pool_));
-    current = std::move(replan.plan);
-    STUBBY_ASSIGN_OR_RETURN(order, current.TopologicalOrder());
-    remaining.assign(order.begin(), order.end());
-    predicted = whatif.Cost(current);
-    adaptive = !predicted.fallback;
+        ReoptimizeSuffix(suffix, run_dfs, options_, pool_));
+    predicted = whatif.Cost(replan.plan);
+    adaptive = !predicted->fallback;
     ++out.stats.reoptimizations;
-    out.stats.suffix_jobs_replanned += current.num_jobs();
-  }
+    out.stats.suffix_jobs_replanned += replan.plan.num_jobs();
+    last_splice = replan.plan;
+    return Splice(std::move(replan.plan));
+  };
 
-  STUBBY_ASSIGN_OR_RETURN(ScheduleResult sched,
-                          SimulateCluster(scheduled, cluster_));
-  flow.makespan_sec = sched.makespan_sec;
-  flow.job_finish_sec = std::move(sched.job_finish_sec);
-  out.dataflow = std::move(flow);
-  out.final_plan = std::move(current);
+  WorkflowRunner runner(cluster_, pool_, exec_);
+  STUBBY_ASSIGN_OR_RETURN(out.dataflow, runner.Run(plan, dfs, reoptimize));
+  out.final_plan = last_splice.has_value() ? std::move(*last_splice) : plan;
   return out;
 }
 

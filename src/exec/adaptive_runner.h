@@ -1,11 +1,12 @@
-// AdaptiveRunner: WorkflowRunner's execution loop with the Starfish
-// profile/what-if feedback loop closed mid-run. After every job finishes it
-// compares the observed per-phase dataflow against the what-if prediction
-// for that job; when the worst relative error exceeds
+// AdaptiveRunner: the Starfish profile/what-if feedback loop closed mid-run,
+// as a per-job hook on WorkflowRunner's execution loop. After every job
+// finishes it compares the observed per-phase dataflow against the what-if
+// prediction for that job; when the worst relative error exceeds
 // StubbyOptions::reoptimize_threshold and jobs remain, the not-yet-executed
-// suffix is rebuilt over the observed data (optimizer/reoptimize.h),
-// re-profiled, re-optimized, and spliced in. Executed jobs are never re-run
-// — their outputs become annotated base-input scans of the new suffix.
+// suffix is rebuilt over the observed data (BuildSuffixPlan), re-profiled
+// and re-optimized (ReoptimizeSuffix), and spliced in. Executed jobs are
+// never re-run — their outputs become annotated base-input scans of the new
+// suffix.
 //
 // Determinism contract (the repo-wide invariant): plans, executed-job
 // order, outputs, dataflow accounting, makespans, and every AdaptiveStats
@@ -16,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -29,6 +31,30 @@
 namespace stubby {
 
 class ThreadPool;
+
+/// Builds the plan for the not-yet-executed remainder of `plan` after the
+/// jobs in `executed` have run. Executed jobs are removed; every dataset
+/// they produced that the remainder still reads is promoted to a base
+/// input whose annotation (records, bytes, partitions, layout) is taken
+/// from the actual stored dataset in `dfs` — observed statistics fed back
+/// as corrected profiles. Annotations of original base inputs are
+/// re-grounded the same way, so a mis-profiled input size cannot survive
+/// into the re-plan. Datasets nothing in the remainder touches (executed
+/// intermediates and already-written terminal outputs) are dropped. A pure
+/// function of (plan, executed set, DFS contents).
+Result<Plan> BuildSuffixPlan(const Plan& plan,
+                             const std::set<std::string>& executed,
+                             const Dfs& dfs);
+
+/// Re-profiles `suffix` by instrumented execution against a scratch copy
+/// of `dfs` (exact statistics on the actual intermediate data, the
+/// profiler's normal measurement path) and re-optimizes it with `options`
+/// (deterministic: no randomness beyond the seeded RRS search). Reuse is
+/// stripped: a mid-execution re-plan must never touch the shared
+/// ResultStore, so stubbyd's journal-replay validation stays sound.
+Result<OptimizeReport> ReoptimizeSuffix(const Plan& suffix, const Dfs& dfs,
+                                        const StubbyOptions& options,
+                                        ThreadPool* pool);
 
 /// Deterministic counters of one adaptive run (all bit-identical across
 /// thread counts; compared verbatim by the invariance tests).
@@ -56,16 +82,13 @@ struct AdaptiveRunResult {
   Plan final_plan;
 };
 
-/// True when STUBBY_REOPT=1 (or any value but "0") in the environment;
-/// `fallback` when unset. The CLI and benches seed
-/// StubbyOptions::reoptimize from this, mirroring STUBBY_COLUMNAR.
-bool ReoptimizeFromEnv(bool fallback = false);
-
-/// Executes plans end-to-end with optional mid-run suffix re-optimization.
-/// `options` supplies the error threshold and the optimizer configuration
-/// used for re-plans (reuse pointers are stripped — a mid-run re-plan never
-/// touches a ResultStore). The pool is borrowed for job execution and the
-/// re-optimization search, bit-identically to a single-threaded run.
+/// Executes plans through WorkflowRunner with the re-optimization hook
+/// installed. `options` supplies the error threshold and the optimizer
+/// configuration used for re-plans (reuse pointers are stripped — a mid-run
+/// re-plan never touches a ResultStore). The pool is borrowed for job
+/// execution and the re-optimization search, bit-identically to a
+/// single-threaded run. With StubbyOptions::reoptimize off the hook only
+/// counts executed jobs and never consults the what-if engine.
 class AdaptiveRunner {
  public:
   AdaptiveRunner(ClusterSpec cluster, ThreadPool* pool, ExecOptions exec,

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <map>
+#include <memory>
+#include <numeric>
 #include <optional>
 #include <set>
 
@@ -12,6 +13,35 @@
 #include "mr/bloom_filter.h"
 
 namespace stubby {
+
+Result<PartitionSpec> ResolvePartitionSpec(const Branch& branch, int R,
+                                           const Dfs& dfs) {
+  PartitionSpec spec = branch.partition;
+  if (spec.type != PartitionType::kRange || !spec.split_points.empty() ||
+      spec.split_points_from.empty()) {
+    return spec;
+  }
+  STUBBY_ASSIGN_OR_RETURN(DatasetPtr ds, dfs.Get(spec.split_points_from));
+  std::vector<Row> candidates = ds->AllRows();
+  std::sort(candidates.begin(), candidates.end());
+  // Duplicate candidates would become duplicate split points, i.e. ranges
+  // that can never receive a record; only distinct boundaries qualify.
+  candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                   candidates.end());
+  int want = std::max(0, R - 1);
+  if (static_cast<int>(candidates.size()) <= want) {
+    spec.split_points = std::move(candidates);
+  } else {
+    for (int i = 1; i <= want; ++i) {
+      size_t idx = static_cast<size_t>(
+          static_cast<double>(i) * static_cast<double>(candidates.size()) /
+          (want + 1));
+      idx = std::min(idx, candidates.size() - 1);
+      spec.split_points.push_back(candidates[idx]);
+    }
+  }
+  return spec;
+}
 
 namespace {
 
@@ -23,6 +53,8 @@ uint64_t RowsBytes(const std::vector<Row>& rows) {
   return b;
 }
 
+using TeeRows = std::map<std::string, std::vector<Row>>;
+
 /// Collects tee rows during one task; the caller drains per-dataset vectors
 /// after the task finishes (so per-task partition boundaries are kept).
 class TaskTeeSink : public TeeSink {
@@ -30,18 +62,17 @@ class TaskTeeSink : public TeeSink {
   void TeeEmit(const std::string& dataset_id, const Row& row) override {
     rows_[dataset_id].push_back(row);
   }
-  std::map<std::string, std::vector<Row>>& rows() { return rows_; }
+  TeeRows& rows() { return rows_; }
 
  private:
-  std::map<std::string, std::vector<Row>> rows_;
+  TeeRows rows_;
 };
-
-using TeeRows = std::map<std::string, std::vector<Row>>;
 
 /// Accumulates a dataset under construction (per-partition payloads +
 /// scaled accounting so the stored dataset gets the right logical scale).
-/// Payloads arrive as rows (record path) or PartitionData (columnar path);
-/// byte accounting is identical either way.
+/// Byte accounting is representation-independent. Map-side outputs land one
+/// partition per map task, reduce outputs one per reduce task in task
+/// order.
 struct DatasetBuilder {
   std::vector<PartitionData> partitions;
   double scaled_records = 0.0;
@@ -54,34 +85,6 @@ struct DatasetBuilder {
     scaled_bytes += static_cast<double>(b) * scale;
     physical_bytes += b;
     partitions.push_back(std::move(pd));
-  }
-
-  void Add(std::vector<Row> rows, double scale) {
-    Add(PartitionData(std::move(rows)), scale);
-  }
-
-  /// Ensures partition index `r` exists and appends to it (reduce outputs
-  /// are keyed by reduce task index).
-  void AddTo(size_t r, PartitionData pd, double scale) {
-    if (partitions.size() <= r) partitions.resize(r + 1);
-    uint64_t b = pd.raw_bytes();
-    scaled_records += static_cast<double>(pd.num_rows()) * scale;
-    scaled_bytes += static_cast<double>(b) * scale;
-    physical_bytes += b;
-    if (partitions[r].num_rows() == 0) {
-      partitions[r] = std::move(pd);
-    } else {
-      // Only one piece lands per (branch, reduce task) today, but appends
-      // stay correct by concatenating through rows.
-      std::vector<Row> merged = partitions[r].rows();
-      const auto& extra = pd.rows();
-      merged.insert(merged.end(), extra.begin(), extra.end());
-      partitions[r] = PartitionData(std::move(merged));
-    }
-  }
-
-  void AddTo(size_t r, std::vector<Row> rows, double scale) {
-    AddTo(r, PartitionData(std::move(rows)), scale);
   }
 
   double LogicalScale() const {
@@ -139,91 +142,196 @@ struct ShuffledOutput {
   std::vector<ShuffleBucket> buckets;  ///< ascending r, non-empty only
 };
 
-}  // namespace
+/// One pipeline's output in one task. Output-writing pipelines (map-only
+/// branches, reduce tasks) fill `out`; the map side of shuffle branches
+/// fills `shuffled`.
+struct TaskPiece {
+  Status status = Status::OK();
+  double cpu_units = 0.0;
+  TeeRows tee;
+  PartitionData out;
+  ShuffledOutput shuffled;
+};
 
-bool ColumnarStorageFromEnv() {
-  const char* env = std::getenv("STUBBY_COLUMNAR");
-  return env == nullptr || std::string(env) != "0";
+/// Runs `stages` record-at-a-time over the rows `feed` pushes into the
+/// pipeline's entry emitter. Records the status, CPU units, and tee rows
+/// in `piece` and returns the output rows (none when setup failed).
+template <typename Feed>
+std::vector<Row> RunRowPipeline(const std::vector<Stage>& stages,
+                                const Schema& input_schema, TaskPiece* piece,
+                                Feed&& feed) {
+  TaskTeeSink tee;
+  VectorEmitter out;
+  auto runner = PipelineRunner::Make(stages, input_schema, &out, &tee);
+  if (!runner.ok()) {
+    piece->status = runner.status();
+    return {};
+  }
+  feed(static_cast<Emitter&>(**runner));
+  (*runner)->Finish();
+  piece->cpu_units = (*runner)->counters().cpu_units;
+  piece->tee = std::move(tee.rows());
+  return std::move(out.rows());
 }
 
-Result<PartitionSpec> ResolvePartitionSpec(const Branch& branch, int R,
-                                           const Dfs& dfs) {
-  PartitionSpec spec = branch.partition;
-  if (spec.type != PartitionType::kRange || !spec.split_points.empty() ||
-      spec.split_points_from.empty()) {
-    return spec;
-  }
-  STUBBY_ASSIGN_OR_RETURN(DatasetPtr ds, dfs.Get(spec.split_points_from));
-  std::vector<Row> candidates = ds->AllRows();
-  std::sort(candidates.begin(), candidates.end());
-  // Duplicate candidates would become duplicate split points, i.e. ranges
-  // that can never receive a record; only distinct boundaries qualify.
-  candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                   candidates.end());
-  int want = std::max(0, R - 1);
-  if (static_cast<int>(candidates.size()) <= want) {
-    spec.split_points = std::move(candidates);
-  } else {
-    for (int i = 1; i <= want; ++i) {
-      size_t idx = static_cast<size_t>(
-          static_cast<double>(i) * static_cast<double>(candidates.size()) /
-          (want + 1));
-      idx = std::min(idx, candidates.size() - 1);
-      spec.split_points.push_back(candidates[idx]);
+/// Concatenates the live rows of `parts`, in order, column-wise into one
+/// dense batch of `ncols` columns.
+RowBatch ConcatBatches(const std::vector<RowBatch>& parts, size_t ncols) {
+  size_t total = 0;
+  for (const RowBatch& rb : parts) total += rb.num_rows();
+  std::vector<RowBatch::ColumnPtr> cols;
+  cols.reserve(ncols);
+  for (size_t c = 0; c < ncols; ++c) {
+    auto col = std::make_shared<RowBatch::Column>();
+    col->reserve(total);
+    for (const RowBatch& rb : parts) {
+      for (size_t i = 0; i < rb.num_rows(); ++i) col->push_back(rb.At(i, c));
     }
+    cols.push_back(std::move(col));
   }
-  return spec;
+  return RowBatch::FromColumns(std::move(cols),
+                               std::vector<uint32_t>(ncols, 1), total);
 }
 
-// Tasks (map chunks, merge-mode tasks, reduce partitions) are pure: they
-// run pipelines, partition/sort/combine, and return unaggregated
-// per-task pieces. All mutation of the dataflow record, the branch
-// accumulators, and the tee builders happens in a serial merge that walks
-// the pieces in task order — replaying the exact accumulation sequence of
-// a serial run. Results are therefore bit-identical (including
-// floating-point sums) at any thread count.
-Result<JobDataflow> JobRunner::Run(const Plan& plan, const JobVertex& job,
-                                   Dfs* dfs) const {
+/// Per-branch execution state.
+struct BranchState {
+  PartitionSpec resolved_partition;
+  std::vector<size_t> partition_sort_indices;  // in map-output schema
+  std::vector<size_t> group_indices;           // combiner grouping
+  std::optional<Partitioner> partitioner;
+  // True when the branch runs the columnar end-to-end path: every input
+  // map pipeline is batch-eligible, the reduce pipeline is batchable (or
+  // empty), and any active combiner has a batch kernel. Buckets then flow
+  // as reduce_batches instead of reduce_buckets.
+  bool columnar = false;
+  // reduce_buckets[r]: rows destined for reduce task r, plus scaled
+  // accounting (pre-combine) for skew measurement.
+  std::vector<std::vector<Row>> reduce_buckets;
+  // reduce_batches[r]: columnar alternative (batches in map-task order).
+  std::vector<std::vector<RowBatch>> reduce_batches;
+  std::vector<double> bucket_scaled_bytes;      // pre-combine, logical
+  std::vector<double> bucket_scaled_records;    // pre-combine, logical
+  std::vector<uint64_t> bucket_physical_records;       // pre-combine
+  std::vector<uint64_t> bucket_physical_post_records;  // after combiner
+  // Combine-effectiveness model inputs: distinct group keys seen and the
+  // logical record count each map task contributed.
+  std::set<uint64_t> group_hashes;
+  std::vector<double> task_logical_records;
+  double raw_scaled_records = 0.0;  // pre-combine map output (logical)
+  double raw_scaled_bytes = 0.0;
+  double combine_ratio = 1.0;  // combined records / raw records
+  DatasetBuilder output;
+};
+
+/// A map task's input: partition segments — views into PartitionData
+/// payloads — so forming tasks copies no rows.
+struct ChunkSeg {
+  PartitionData pd;  // shares the dataset partition's representation
+  size_t lo = 0;
+  size_t hi = 0;
+};
+struct MapTask {
+  const InputGroup* group = nullptr;
+  DatasetPtr ds;
+  double scale = 1.0;
+  std::vector<ChunkSeg> segs;
+};
+
+struct MapTaskResult {
+  uint64_t chunk_bytes = 0;
+  size_t chunk_rows = 0;
+  std::vector<TaskPiece> pieces;  // one per group subscriber
+};
+
+/// A merge-mode branch's co-aligned inputs.
+struct MergeBranchCtx {
+  size_t bi = 0;
+  std::vector<DatasetPtr> inputs_ds;
+  std::vector<std::vector<int>> inputs_parts;
+  std::vector<size_t> merge_sort_idx;
+};
+struct MergeInputPiece : TaskPiece {
+  size_t input_index = 0;
+  uint64_t pb = 0;  ///< physical bytes read
+  size_t nrows = 0;
+};
+/// One merge-mode task; the TaskPiece part is the merged map pipeline's.
+struct MergeTaskResult : TaskPiece {
+  std::vector<MergeInputPiece> pieces;
+  uint64_t task_logical_bytes = 0;
+  double task_scale = 1.0;
+};
+
+/// The state of one JobRunner::Run call, shared by its phases. Tasks
+/// (Bloom builds, map chunks, merge-mode tasks, reduce partitions) are
+/// pure: they run pipelines, partition/sort/combine, and return
+/// unaggregated per-task pieces. All mutation of the dataflow record, the
+/// branch accumulators, and the tee builders happens in a serial merge
+/// that walks the pieces in task order — replaying the exact accumulation
+/// sequence of a serial run. Results are therefore bit-identical
+/// (including floating-point sums) at any thread count.
+struct JobRun {
+  JobRun(const ClusterSpec& cluster, ThreadPool* pool, ExecOptions exec,
+         const Plan& plan, const JobVertex& job, Dfs* dfs)
+      : cluster(cluster),
+        pool(pool),
+        exec(exec),
+        plan(plan),
+        job(job),
+        dfs(dfs),
+        R(job.map_only() ? 0 : job.EffectiveReduceTasks()),
+        nb(job.branches.size()),
+        bstate(nb) {
+    df.job_id = job.id;
+    df.num_reduce_tasks = R;
+    df.output_compressed = job.config.compress_output;
+  }
+
+  // Phases, in execution order.
+  Status PlanBranches();
+  Status BuildBloomFilters();
+  Status FormMapTasks(const std::vector<InputGroup>& groups);
+  Status RunMapTasks();
+  Status RunMergeModeTasks();
+  void ModelCombine();
+  Status RunReduceTasks();
+  Status WriteOutputs();
+
+  // Task-side helpers: read the job state, never write it (reduce tasks
+  // drain only the bucket they own).
+  ShuffledOutput ShuffleRows(size_t bi, std::vector<Row> rows) const;
+  ShuffledOutput ShuffleBatch(size_t bi, const RowBatch& batch) const;
+  RowBatch MakeChunkBatch(const MapTask& t) const;
+  MergeTaskResult RunMergeTask(const MergeBranchCtx& ctx, size_t t) const;
+  TaskPiece ReduceBatches(size_t bi, size_t ri);
+  TaskPiece ReduceRows(size_t bi, size_t ri);
+
+  // Serial merge-side helpers.
+  void DrainTee(TeeRows& tee_rows, double scale);
+  void MergeShuffle(size_t bi, ShuffledOutput so, double scale);
+  uint64_t AccountInput(const StoredDataset& ds, uint64_t chunk_bytes,
+                        uint64_t chunk_rows);
+
+  const ClusterSpec& cluster;
+  ThreadPool* const pool;
+  const ExecOptions exec;
+  const Plan& plan;
+  const JobVertex& job;
+  Dfs* const dfs;
+  const int R;
+  const size_t nb;
+
   JobDataflow df;
-  df.job_id = job.id;
-  const bool map_only = job.map_only();
-  const int R = map_only ? 0 : job.EffectiveReduceTasks();
-  df.num_reduce_tasks = R;
-  df.output_compressed = job.config.compress_output;
+  std::vector<BranchState> bstate;
+  std::map<std::string, DatasetBuilder> tee_builders;
+  std::map<std::string, Schema> tee_schemas;
+  // Effective map stages: per-(branch, input) copies of the plan's stage
+  // vectors, with Bloom probe stages bound to their branch's filter.
+  std::vector<std::vector<std::vector<Stage>>> eff_stages;
+  std::vector<MapTask> map_tasks;
+};
 
-  const size_t nb = job.branches.size();
-
-  // Per-branch execution state.
-  struct BranchState {
-    PartitionSpec resolved_partition;
-    std::vector<size_t> partition_sort_indices;  // in map-output schema
-    std::vector<size_t> group_indices;           // combiner grouping
-    std::optional<Partitioner> partitioner;
-    // True when the branch runs the columnar end-to-end path: every input
-    // map pipeline is batch-eligible, the reduce pipeline is batchable (or
-    // empty), and any active combiner has a batch kernel. Buckets then flow
-    // as reduce_batches instead of reduce_buckets.
-    bool columnar = false;
-    // reduce_buckets[r]: rows destined for reduce task r, plus scaled
-    // accounting (pre-combine) for skew measurement.
-    std::vector<std::vector<Row>> reduce_buckets;
-    // reduce_batches[r]: columnar alternative (batches in map-task order).
-    std::vector<std::vector<RowBatch>> reduce_batches;
-    std::vector<double> bucket_scaled_bytes;      // pre-combine, logical
-    std::vector<double> bucket_scaled_records;    // pre-combine, logical
-    std::vector<uint64_t> bucket_physical_records;       // pre-combine
-    std::vector<uint64_t> bucket_physical_post_records;  // after combiner
-    // Combine-effectiveness model inputs: distinct group keys seen and the
-    // logical record count each map task contributed.
-    std::set<uint64_t> group_hashes;
-    std::vector<double> task_logical_records;
-    double raw_scaled_records = 0.0;  // pre-combine map output (logical)
-    double raw_scaled_bytes = 0.0;
-    double combine_ratio = 1.0;  // combined records / raw records
-    DatasetBuilder output;
-  };
-  std::vector<BranchState> bstate(nb);
-
+Status JobRun::PlanBranches() {
   for (size_t bi = 0; bi < nb; ++bi) {
     const Branch& b = job.branches[bi];
     if (b.map_only()) continue;
@@ -238,19 +346,16 @@ Result<JobDataflow> JobRunner::Run(const Plan& plan, const JobVertex& job,
     std::vector<std::string> group = b.GroupFields();
     STUBBY_ASSIGN_OR_RETURN(st.group_indices,
                             b.map_output_schema.IndicesOf(group));
-    if (exec_.vectorized && exec_.columnar && !b.merge_mode() &&
-        BatchReducePipeline::Eligible(b.reduce_stages)) {
-      bool inputs_eligible = true;
-      for (const BranchInput& in : b.inputs) {
-        if (!BatchPipelineRunner::Eligible(in.map_stages)) {
-          inputs_eligible = false;
-          break;
-        }
-      }
-      bool combiner_ok = !(job.config.use_combiner && b.combiner != nullptr) ||
-                         b.combiner->supports_batch();
-      st.columnar = inputs_eligible && combiner_ok;
-    }
+    const bool inputs_eligible = std::all_of(
+        b.inputs.begin(), b.inputs.end(), [](const BranchInput& in) {
+          return BatchPipelineRunner::Eligible(in.map_stages);
+        });
+    const bool combiner_ok =
+        !(job.config.use_combiner && b.combiner != nullptr) ||
+        b.combiner->supports_batch();
+    st.columnar = exec.vectorized && !b.merge_mode() &&
+                  BatchReducePipeline::Eligible(b.reduce_stages) &&
+                  inputs_eligible && combiner_ok;
     st.reduce_buckets.assign(static_cast<size_t>(R), {});
     st.reduce_batches.assign(static_cast<size_t>(R), {});
     st.bucket_scaled_bytes.assign(static_cast<size_t>(R), 0.0);
@@ -259,229 +364,187 @@ Result<JobDataflow> JobRunner::Run(const Plan& plan, const JobVertex& job,
     st.bucket_physical_post_records.assign(static_cast<size_t>(R), 0);
   }
 
-  std::map<std::string, DatasetBuilder> tee_builders;
-  std::map<std::string, Schema> tee_schemas;
+  auto declare_tees = [&](const std::vector<Stage>& stages) {
+    for (const Stage& s : stages) {
+      if (!s.tee_dataset.empty()) tee_schemas[s.tee_dataset] = s.output_schema();
+    }
+  };
   for (const Branch& b : job.branches) {
-    for (const BranchInput& in : b.inputs) {
-      for (const Stage& s : in.map_stages) {
-        if (!s.tee_dataset.empty()) {
-          tee_schemas[s.tee_dataset] = s.output_schema();
-        }
-      }
-    }
-    for (const Stage& s : b.merged_map_stages) {
-      if (!s.tee_dataset.empty()) tee_schemas[s.tee_dataset] = s.output_schema();
-    }
-    for (const Stage& s : b.reduce_stages) {
-      if (!s.tee_dataset.empty()) tee_schemas[s.tee_dataset] = s.output_schema();
-    }
+    for (const BranchInput& in : b.inputs) declare_tees(in.map_stages);
+    declare_tees(b.merged_map_stages);
+    declare_tees(b.reduce_stages);
   }
+  return Status::OK();
+}
 
-  auto drain_tee = [&](TeeRows& tee_rows, double scale) {
-    for (auto& [id, rows] : tee_rows) {
-      uint64_t b = RowsBytes(rows);
-      df.tee_bytes += static_cast<uint64_t>(static_cast<double>(b) * scale);
-      tee_builders[id].Add(std::move(rows), scale);
-    }
-    tee_rows.clear();
-  };
+void JobRun::DrainTee(TeeRows& tee_rows, double scale) {
+  for (auto& [id, rows] : tee_rows) {
+    uint64_t b = RowsBytes(rows);
+    df.tee_bytes += static_cast<uint64_t>(static_cast<double>(b) * scale);
+    tee_builders[id].Add(PartitionData(std::move(rows)), scale);
+  }
+  tee_rows.clear();
+}
 
-  // Task side of the shuffle: partition one map task's output for branch
-  // `bi`, sort each bucket, and run the combiner physically (so the reduce
-  // functions see combined rows). Reads branch state, never writes it.
-  auto compute_shuffle = [&](size_t bi,
-                             std::vector<Row> rows) -> ShuffledOutput {
-    const Branch& b = job.branches[bi];
-    const BranchState& st = bstate[bi];
-    ShuffledOutput so;
-    so.out_bytes = RowsBytes(rows);
-    so.out_records = rows.size();
-    so.group_hashes.reserve(rows.size());
-    for (const Row& row : rows) {
-      so.group_hashes.push_back(HashOnFields(row, st.group_indices));
+// Task side of the shuffle: partition one map task's output for branch
+// `bi`, sort each bucket, and run the combiner physically (so the reduce
+// functions see combined rows).
+ShuffledOutput JobRun::ShuffleRows(size_t bi, std::vector<Row> rows) const {
+  const Branch& b = job.branches[bi];
+  const BranchState& st = bstate[bi];
+  ShuffledOutput so;
+  so.out_bytes = RowsBytes(rows);
+  so.out_records = rows.size();
+  so.group_hashes.reserve(rows.size());
+  for (const Row& row : rows) {
+    so.group_hashes.push_back(HashOnFields(row, st.group_indices));
+  }
+  std::vector<std::vector<Row>> buckets(static_cast<size_t>(R));
+  for (Row& row : rows) {
+    int r = st.partitioner->PartitionOf(row, R);
+    buckets[static_cast<size_t>(r)].push_back(std::move(row));
+  }
+  for (size_t r = 0; r < buckets.size(); ++r) {
+    auto& bucket = buckets[r];
+    if (bucket.empty()) continue;
+    std::stable_sort(bucket.begin(), bucket.end(),
+                     [&](const Row& a, const Row& bb) {
+                       return CompareOnFields(a, bb,
+                                              st.partition_sort_indices) < 0;
+                     });
+    ShuffleBucket sb;
+    sb.r = r;
+    sb.sorted_bytes = RowsBytes(bucket);
+    sb.pre_records = bucket.size();
+    if (job.config.use_combiner && b.combiner != nullptr) {
+      double combine_cpu = 0.0;
+      bucket =
+          RunCombiner(*b.combiner, bucket, st.group_indices, &combine_cpu);
     }
-    std::vector<std::vector<Row>> buckets(static_cast<size_t>(R));
-    for (Row& row : rows) {
-      int r = st.partitioner->PartitionOf(row, R);
-      buckets[static_cast<size_t>(r)].push_back(std::move(row));
-    }
-    for (size_t r = 0; r < buckets.size(); ++r) {
-      auto& bucket = buckets[r];
-      if (bucket.empty()) continue;
-      std::stable_sort(bucket.begin(), bucket.end(),
-                       [&](const Row& a, const Row& bb) {
-                         return CompareOnFields(a, bb,
-                                                st.partition_sort_indices) < 0;
-                       });
-      ShuffleBucket sb;
-      sb.r = r;
-      sb.sorted_bytes = RowsBytes(bucket);
-      sb.pre_records = bucket.size();
-      if (job.config.use_combiner && b.combiner != nullptr) {
-        double combine_cpu = 0.0;
-        bucket =
-            RunCombiner(*b.combiner, bucket, st.group_indices, &combine_cpu);
-      }
-      sb.post_rows = std::move(bucket);
-      so.buckets.push_back(std::move(sb));
-    }
-    return so;
-  };
+    sb.post_rows = std::move(bucket);
+    so.buckets.push_back(std::move(sb));
+  }
+  return so;
+}
 
-  // Columnar variant of compute_shuffle: hashes, partitions, and sorts on
-  // the batch (a stable index sort yields the same permutation as the row
-  // path's stable sort), materializing rows only once per sorted bucket.
-  // The RowBatch accounting helpers reproduce the per-Row byte/hash/compare
-  // results exactly, so the ShuffledOutput is bit-identical.
-  auto compute_shuffle_batch = [&](size_t bi,
-                                   const RowBatch& batch) -> ShuffledOutput {
-    const Branch& b = job.branches[bi];
-    const BranchState& st = bstate[bi];
-    ShuffledOutput so;
-    const size_t n = batch.num_rows();
-    so.out_bytes = batch.TotalSerializedBytes();
-    so.out_records = n;
-    so.group_hashes.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      so.group_hashes.push_back(batch.HashOnFields(i, st.group_indices));
-    }
-    std::vector<std::vector<uint32_t>> buckets(static_cast<size_t>(R));
-    for (size_t i = 0; i < n; ++i) {
-      int r = st.partitioner->PartitionOf(batch, i, R);
-      buckets[static_cast<size_t>(r)].push_back(static_cast<uint32_t>(i));
-    }
-    for (size_t r = 0; r < buckets.size(); ++r) {
-      auto& idx = buckets[r];
-      if (idx.empty()) continue;
-      std::stable_sort(idx.begin(), idx.end(), [&](uint32_t a, uint32_t bb) {
-        return batch.Compare(a, bb, st.partition_sort_indices) < 0;
-      });
-      ShuffleBucket sb;
-      sb.r = r;
-      sb.pre_records = idx.size();
-      std::vector<Row> bucket;
-      bucket.reserve(idx.size());
-      for (uint32_t i : idx) {
-        sb.sorted_bytes += batch.RowSerializedSize(i);
-        bucket.push_back(batch.MaterializeRow(i));
-      }
-      if (job.config.use_combiner && b.combiner != nullptr) {
-        double combine_cpu = 0.0;
-        bucket =
-            RunCombiner(*b.combiner, bucket, st.group_indices, &combine_cpu);
-      }
-      sb.post_rows = std::move(bucket);
-      so.buckets.push_back(std::move(sb));
-    }
-    return so;
-  };
-
-  // Column-native compute_shuffle_batch for branches on the end-to-end
-  // columnar path (bstate[bi].columnar): buckets stay batches whose sorted
-  // selection indexes the map output's shared columns, so no row is
-  // materialized between the map kernel and the reduce kernel. The combiner,
-  // when active, runs its batch kernel over equal-key runs (output rows
-  // match RunCombiner; its cpu out-param is discarded here exactly like the
-  // row path's — combine CPU is modeled analytically after the map phase).
-  auto compute_shuffle_columnar = [&](size_t bi,
-                                      const RowBatch& batch) -> ShuffledOutput {
-    const Branch& b = job.branches[bi];
-    const BranchState& st = bstate[bi];
-    ShuffledOutput so;
-    const size_t n = batch.num_rows();
-    so.out_bytes = batch.TotalSerializedBytes();
-    so.out_records = n;
-    so.group_hashes.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      so.group_hashes.push_back(batch.HashOnFields(i, st.group_indices));
-    }
-    std::vector<std::vector<uint32_t>> buckets(static_cast<size_t>(R));
-    for (size_t i = 0; i < n; ++i) {
-      int r = st.partitioner->PartitionOf(batch, i, R);
-      buckets[static_cast<size_t>(r)].push_back(static_cast<uint32_t>(i));
-    }
-    for (size_t r = 0; r < buckets.size(); ++r) {
-      auto& idx = buckets[r];
-      if (idx.empty()) continue;
-      std::stable_sort(idx.begin(), idx.end(), [&](uint32_t a, uint32_t bb) {
-        return batch.Compare(a, bb, st.partition_sort_indices) < 0;
-      });
-      ShuffleBucket sb;
-      sb.r = r;
-      sb.pre_records = idx.size();
+// Batch twin of ShuffleRows: hashes, partitions, and sorts on the batch (a
+// stable index sort yields the same permutation as the row path's stable
+// sort; the RowBatch accounting helpers reproduce the per-Row byte, hash,
+// and compare results exactly, so the ShuffledOutput is bit-identical).
+// Columnar branches keep each sorted bucket as a batch whose selection
+// indexes the map output's shared columns, so no row is materialized
+// between the map kernel and the reduce kernel; the combiner, when active,
+// runs its batch kernel over equal-key runs. Other branches materialize
+// the sorted bucket as rows for the row combiner and reducer. Either way
+// the combiner's cpu out-param is discarded — combine CPU is modeled
+// analytically after the map phase.
+ShuffledOutput JobRun::ShuffleBatch(size_t bi, const RowBatch& batch) const {
+  const Branch& b = job.branches[bi];
+  const BranchState& st = bstate[bi];
+  const bool combine = job.config.use_combiner && b.combiner != nullptr;
+  ShuffledOutput so;
+  const size_t n = batch.num_rows();
+  so.out_bytes = batch.TotalSerializedBytes();
+  so.out_records = n;
+  so.group_hashes.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    so.group_hashes.push_back(batch.HashOnFields(i, st.group_indices));
+  }
+  std::vector<std::vector<uint32_t>> buckets(static_cast<size_t>(R));
+  for (size_t i = 0; i < n; ++i) {
+    int r = st.partitioner->PartitionOf(batch, i, R);
+    buckets[static_cast<size_t>(r)].push_back(static_cast<uint32_t>(i));
+  }
+  for (size_t r = 0; r < buckets.size(); ++r) {
+    auto& idx = buckets[r];
+    if (idx.empty()) continue;
+    std::stable_sort(idx.begin(), idx.end(), [&](uint32_t a, uint32_t bb) {
+      return batch.Compare(a, bb, st.partition_sort_indices) < 0;
+    });
+    ShuffleBucket sb;
+    sb.r = r;
+    sb.pre_records = idx.size();
+    for (uint32_t i : idx) sb.sorted_bytes += batch.RowSerializedSize(i);
+    double combine_cpu = 0.0;
+    if (st.columnar) {
       std::vector<uint32_t> sel;
       sel.reserve(idx.size());
-      for (uint32_t i : idx) {
-        sb.sorted_bytes += batch.RowSerializedSize(i);
-        sel.push_back(batch.selection()[i]);
-      }
+      for (uint32_t i : idx) sel.push_back(batch.selection()[i]);
       RowBatch bucket = batch;  // shares columns
       bucket.SetSelection(std::move(sel));
-      if (job.config.use_combiner && b.combiner != nullptr) {
-        double combine_cpu = 0.0;
+      if (combine) {
         bucket = RunCombinerBatch(*b.combiner, bucket, st.group_indices,
                                   &combine_cpu);
       }
       sb.post_batch = std::move(bucket);
-      so.buckets.push_back(std::move(sb));
-    }
-    return so;
-  };
-
-  // Merge side of the shuffle: stash the buckets into the branch state and
-  // account shuffle volume pre-combine — combine effectiveness at logical
-  // scale is modeled analytically after the map phase, because the
-  // physical sample cannot exhibit logical-scale duplicate density.
-  auto merge_shuffle = [&](size_t bi, ShuffledOutput so, double scale) {
-    BranchState& st = bstate[bi];
-    double scaled_records = static_cast<double>(so.out_records) * scale;
-    double scaled_bytes = static_cast<double>(so.out_bytes) * scale;
-    df.map_output_records += static_cast<uint64_t>(scaled_records);
-    df.map_output_bytes += static_cast<uint64_t>(scaled_bytes);
-    st.raw_scaled_records += scaled_records;
-    st.raw_scaled_bytes += scaled_bytes;
-    st.task_logical_records.push_back(scaled_records);
-    for (uint64_t h : so.group_hashes) st.group_hashes.insert(h);
-    for (ShuffleBucket& sb : so.buckets) {
-      st.bucket_scaled_bytes[sb.r] +=
-          static_cast<double>(sb.sorted_bytes) * scale;
-      st.bucket_scaled_records[sb.r] +=
-          static_cast<double>(sb.pre_records) * scale;
-      st.bucket_physical_records[sb.r] += sb.pre_records;
-      if (sb.post_batch.has_value()) {
-        st.bucket_physical_post_records[sb.r] += sb.post_batch->num_rows();
-        st.reduce_batches[sb.r].push_back(std::move(*sb.post_batch));
-      } else {
-        st.bucket_physical_post_records[sb.r] += sb.post_rows.size();
-        auto& dst = st.reduce_buckets[sb.r];
-        dst.insert(dst.end(), std::make_move_iterator(sb.post_rows.begin()),
-                   std::make_move_iterator(sb.post_rows.end()));
+    } else {
+      std::vector<Row> bucket;
+      bucket.reserve(idx.size());
+      for (uint32_t i : idx) bucket.push_back(batch.MaterializeRow(i));
+      if (combine) {
+        bucket =
+            RunCombiner(*b.combiner, bucket, st.group_indices, &combine_cpu);
       }
+      sb.post_rows = std::move(bucket);
     }
-  };
+    so.buckets.push_back(std::move(sb));
+  }
+  return so;
+}
 
-  // Accounts one map-task input chunk read from dataset `ds`.
-  auto account_input = [&](const StoredDataset& ds, uint64_t chunk_bytes,
-                           uint64_t chunk_rows) -> uint64_t {
-    double scale = ds.logical_scale();
-    uint64_t logical =
-        static_cast<uint64_t>(static_cast<double>(chunk_bytes) * scale);
-    df.map_input_records +=
-        static_cast<uint64_t>(static_cast<double>(chunk_rows) * scale);
-    df.map_input_bytes += logical;
-    df.map_input_stored_bytes += static_cast<uint64_t>(
-        static_cast<double>(logical) *
-        (ds.layout().compressed ? cluster_.compress_ratio : 1.0));
-    return logical;
-  };
+// Merge side of the shuffle: stash the buckets into the branch state and
+// account shuffle volume pre-combine — combine effectiveness at logical
+// scale is modeled analytically after the map phase, because the physical
+// sample cannot exhibit logical-scale duplicate density.
+void JobRun::MergeShuffle(size_t bi, ShuffledOutput so, double scale) {
+  BranchState& st = bstate[bi];
+  double scaled_records = static_cast<double>(so.out_records) * scale;
+  double scaled_bytes = static_cast<double>(so.out_bytes) * scale;
+  df.map_output_records += static_cast<uint64_t>(scaled_records);
+  df.map_output_bytes += static_cast<uint64_t>(scaled_bytes);
+  st.raw_scaled_records += scaled_records;
+  st.raw_scaled_bytes += scaled_bytes;
+  st.task_logical_records.push_back(scaled_records);
+  for (uint64_t h : so.group_hashes) st.group_hashes.insert(h);
+  for (ShuffleBucket& sb : so.buckets) {
+    st.bucket_scaled_bytes[sb.r] +=
+        static_cast<double>(sb.sorted_bytes) * scale;
+    st.bucket_scaled_records[sb.r] +=
+        static_cast<double>(sb.pre_records) * scale;
+    st.bucket_physical_records[sb.r] += sb.pre_records;
+    if (sb.post_batch.has_value()) {
+      st.bucket_physical_post_records[sb.r] += sb.post_batch->num_rows();
+      st.reduce_batches[sb.r].push_back(std::move(*sb.post_batch));
+    } else {
+      st.bucket_physical_post_records[sb.r] += sb.post_rows.size();
+      auto& dst = st.reduce_buckets[sb.r];
+      dst.insert(dst.end(), std::make_move_iterator(sb.post_rows.begin()),
+                 std::make_move_iterator(sb.post_rows.end()));
+    }
+  }
+}
 
-  // ---- Bloom predicate-transfer build pass --------------------------------
-  // Effective map stages: per-(branch, input) copies of the plan's stage
-  // vectors, with probe stages rebound below to the filter built for their
-  // branch. The plan's own stage instances stay untouched (unbound probe
-  // stages are pass-throughs), so profiling, serialization, and later runs
-  // see no execution state.
-  std::vector<std::vector<std::vector<Stage>>> eff_stages(nb);
+// Accounts one map-task input chunk read from dataset `ds`.
+uint64_t JobRun::AccountInput(const StoredDataset& ds, uint64_t chunk_bytes,
+                              uint64_t chunk_rows) {
+  double scale = ds.logical_scale();
+  uint64_t logical =
+      static_cast<uint64_t>(static_cast<double>(chunk_bytes) * scale);
+  df.map_input_records +=
+      static_cast<uint64_t>(static_cast<double>(chunk_rows) * scale);
+  df.map_input_bytes += logical;
+  df.map_input_stored_bytes += static_cast<uint64_t>(
+      static_cast<double>(logical) *
+      (ds.layout().compressed ? cluster.compress_ratio : 1.0));
+  return logical;
+}
+
+// Bloom predicate-transfer build pass. Probe stages in eff_stages are
+// rebound to the filter built for their branch; the plan's own stage
+// instances stay untouched (unbound probe stages are pass-throughs), so
+// profiling, serialization, and later runs see no execution state.
+Status JobRun::BuildBloomFilters() {
+  eff_stages.resize(nb);
   for (size_t bi = 0; bi < nb; ++bi) {
     const Branch& b = job.branches[bi];
     eff_stages[bi].reserve(b.inputs.size());
@@ -505,36 +568,29 @@ Result<JobDataflow> JobRunner::Run(const Plan& plan, const JobVertex& job,
     // reduce stage relies on) and hash the output's key fields into a
     // per-task partial filter. Tees are discarded — the map phase proper
     // writes them once.
-    struct BuildPiece {
-      Status status = Status::OK();
+    struct BuildPiece : TaskPiece {
       std::unique_ptr<BloomFilter> partial;
-      uint64_t pb = 0;       ///< physical bytes read
-      size_t hashed = 0;     ///< pipeline output rows inserted
-      double cpu_units = 0.0;
+      uint64_t pb = 0;    ///< physical bytes read
+      size_t hashed = 0;  ///< pipeline output rows inserted
     };
     std::vector<BuildPiece> build_pieces(build_parts.size());
-    RunTasks(pool_, build_parts.size(), [&](size_t pi) {
+    RunTasks(pool, build_parts.size(), [&](size_t pi) {
       BuildPiece& piece = build_pieces[pi];
       const std::vector<Row>& part =
           build_ds->partition(static_cast<size_t>(build_parts[pi]));
       piece.pb = RowsBytes(part);
-      TaskTeeSink tee;
-      VectorEmitter out;
-      auto runner = PipelineRunner::Make(build.map_stages, build_ds->schema(),
-                                         &out, &tee);
-      if (!runner.ok()) {
-        piece.status = runner.status();
-        return;
-      }
-      for (const Row& row : part) (*runner)->Emit(row);
-      (*runner)->Finish();
-      piece.cpu_units = (*runner)->counters().cpu_units;
+      std::vector<Row> keys = RunRowPipeline(
+          build.map_stages, build_ds->schema(), &piece, [&](Emitter& in) {
+            for (const Row& row : part) in.Emit(row);
+          });
+      piece.tee.clear();
+      if (!piece.status.ok()) return;
       piece.partial = std::make_unique<BloomFilter>(
           spec.bits_log2, spec.num_hashes, kBloomFilterSeed);
-      for (const Row& row : out.rows()) {
+      for (const Row& row : keys) {
         piece.partial->Insert(HashOnFields(row, key_idx));
       }
-      piece.hashed = out.rows().size();
+      piece.hashed = keys.size();
     });
     // Serial OR-merge in partition order (bitwise OR is order-independent,
     // so the merged filter is bit-identical at any thread count).
@@ -563,42 +619,27 @@ Result<JobDataflow> JobRunner::Run(const Plan& plan, const JobVertex& job,
       }
     }
   }
+  return Status::OK();
+}
 
-  // ---- Map phase: shared-scan input groups --------------------------------
-  std::vector<InputGroup> groups = GroupBranchInputs(job);
-
-  // Serial task formation: one task per (group, chunk). A chunk is a list
-  // of partition segments — views into PartitionData payloads — so forming
-  // tasks copies no rows: aligned reads take whole partitions, size-based
-  // splits take [lo, hi) ranges of consecutive partitions. Chunk boundaries
-  // (task counts, per-task record ranges) are identical to the historical
-  // row-gathering formation.
-  struct ChunkSeg {
-    PartitionData pd;  // shares the dataset partition's representation
-    size_t lo = 0;
-    size_t hi = 0;
-  };
-  struct MapTask {
-    const InputGroup* group = nullptr;
-    DatasetPtr ds;
-    double scale = 1.0;
-    std::vector<ChunkSeg> segs;
-  };
-  std::vector<MapTask> map_tasks;
+// Serial task formation for the shared-scan input groups: one task per
+// (group, chunk). Aligned reads take whole partitions, size-based splits
+// take [lo, hi) ranges of consecutive partitions. Chunk boundaries (task
+// counts, per-task record ranges) are identical to the historical
+// row-gathering formation.
+Status JobRun::FormMapTasks(const std::vector<InputGroup>& groups) {
   for (const InputGroup& g : groups) {
     STUBBY_ASSIGN_OR_RETURN(DatasetPtr ds, dfs->Get(g.dataset_id));
     const double scale = ds->logical_scale();
     STUBBY_ASSIGN_OR_RETURN(std::vector<int> parts,
                             SelectedPartitions(*ds, g.prune_partitions));
 
-    // Form map task input chunks.
     std::vector<std::vector<ChunkSeg>> chunks;
     if (g.aligned) {
       for (int p : parts) {
         const PartitionData& pd = ds->partition_data(static_cast<size_t>(p));
         chunks.push_back({ChunkSeg{pd, 0, pd.num_rows()}});
       }
-      if (chunks.empty()) chunks.emplace_back();
     } else {
       uint64_t physical_bytes = 0;
       size_t total_rows = 0;
@@ -608,11 +649,11 @@ Result<JobDataflow> JobRunner::Run(const Plan& plan, const JobVertex& job,
         total_rows += pd.num_rows();
       }
       double stored_logical = static_cast<double>(physical_bytes) * scale;
-      if (ds->layout().compressed) stored_logical *= cluster_.compress_ratio;
+      if (ds->layout().compressed) stored_logical *= cluster.compress_ratio;
       int tasks = std::max(
           1, static_cast<int>(
                  std::ceil(stored_logical / (job.config.split_mb * kMB))));
-      tasks = std::min(tasks, kMaxMapTasks);
+      tasks = std::min(tasks, JobRunner::kMaxMapTasks);
       size_t per = std::max<size_t>(
           1, (total_rows + static_cast<size_t>(tasks) - 1) /
                  static_cast<size_t>(tasks));
@@ -635,8 +676,8 @@ Result<JobDataflow> JobRunner::Run(const Plan& plan, const JobVertex& job,
         }
         chunks.push_back(std::move(segs));
       }
-      if (chunks.empty()) chunks.emplace_back();
     }
+    if (chunks.empty()) chunks.emplace_back();
 
     df.num_map_tasks += static_cast<int>(chunks.size());
     df.pipelines_per_task = std::max(
@@ -645,52 +686,21 @@ Result<JobDataflow> JobRunner::Run(const Plan& plan, const JobVertex& job,
       map_tasks.push_back(MapTask{&g, ds, scale, std::move(chunk)});
     }
   }
+  return Status::OK();
+}
 
-  // Builds the shared columnar view of a task's chunk. With columnar
-  // storage on, single-segment chunks are zero-copy views of the stored
-  // columns (identity or range selection); multi-segment chunks gather
-  // column-wise. With it off — or for ragged/width-mismatched payloads —
-  // rows are gathered and converted per chunk, the PR-6 framing.
-  auto make_chunk_batch = [&](const MapTask& t) -> RowBatch {
-    const size_t nschema = t.ds->schema().size();
-    if (exec_.columnar && !t.segs.empty()) {
-      bool view_ok = true;
-      for (const ChunkSeg& seg : t.segs) {
-        if (!seg.pd.columnar() || seg.pd.num_columns() != nschema) {
-          view_ok = false;
-          break;
-        }
-      }
-      if (view_ok) {
-        if (t.segs.size() == 1) {
-          const ChunkSeg& seg = t.segs.front();
-          if (seg.lo == 0 && seg.hi == seg.pd.num_rows()) {
-            return seg.pd.AsBatch();
-          }
-          return seg.pd.BatchSlice(seg.lo, seg.hi);
-        }
-        size_t total = 0;
-        for (const ChunkSeg& seg : t.segs) total += seg.hi - seg.lo;
-        std::vector<RowBatch> views;
-        views.reserve(t.segs.size());
-        for (const ChunkSeg& seg : t.segs) views.push_back(seg.pd.AsBatch());
-        std::vector<RowBatch::ColumnPtr> cols;
-        cols.reserve(nschema);
-        for (size_t c = 0; c < nschema; ++c) {
-          auto col = std::make_shared<RowBatch::Column>();
-          col->reserve(total);
-          for (size_t s = 0; s < t.segs.size(); ++s) {
-            for (size_t i = t.segs[s].lo; i < t.segs[s].hi; ++i) {
-              col->push_back(views[s].ValueAt(c, static_cast<uint32_t>(i)));
-            }
-          }
-          cols.push_back(std::move(col));
-        }
-        return RowBatch::FromColumns(std::move(cols),
-                                     std::vector<uint32_t>(nschema, 1),
-                                     total);
-      }
-    }
+// The shared columnar view of a task's chunk. Single-segment chunks are
+// zero-copy views of the stored columns (identity or range selection);
+// multi-segment chunks gather column-wise. Ragged or width-mismatched
+// payloads gather rows and convert them.
+RowBatch JobRun::MakeChunkBatch(const MapTask& t) const {
+  const size_t nschema = t.ds->schema().size();
+  const bool view_ok =
+      !t.segs.empty() &&
+      std::all_of(t.segs.begin(), t.segs.end(), [&](const ChunkSeg& seg) {
+        return seg.pd.columnar() && seg.pd.num_columns() == nschema;
+      });
+  if (!view_ok) {
     std::vector<Row> rows;
     size_t total = 0;
     for (const ChunkSeg& seg : t.segs) total += seg.hi - seg.lo;
@@ -701,25 +711,26 @@ Result<JobDataflow> JobRunner::Run(const Plan& plan, const JobVertex& job,
                   src.begin() + static_cast<long>(seg.hi));
     }
     return RowBatch::FromRows(rows, nschema);
-  };
+  }
+  if (t.segs.size() == 1) {
+    const ChunkSeg& seg = t.segs.front();
+    if (seg.lo == 0 && seg.hi == seg.pd.num_rows()) return seg.pd.AsBatch();
+    return seg.pd.BatchSlice(seg.lo, seg.hi);
+  }
+  std::vector<RowBatch> slices;
+  slices.reserve(t.segs.size());
+  for (const ChunkSeg& seg : t.segs) {
+    slices.push_back(seg.pd.BatchSlice(seg.lo, seg.hi));
+  }
+  return ConcatBatches(slices, nschema);
+}
 
-  // Parallel compute: every subscribing branch pipeline over the shared
-  // scan, plus the per-branch shuffle work.
-  struct SubscriberPiece {
-    Status status = Status::OK();
-    double cpu_units = 0.0;
-    TeeRows tee;
-    std::vector<Row> out_rows;            // map-only branches (row path)
-    std::optional<PartitionData> out_pd;  // map-only, columnar path
-    ShuffledOutput shuffled;              // shuffle branches
-  };
-  struct MapTaskResult {
-    uint64_t chunk_bytes = 0;
-    size_t chunk_rows = 0;
-    std::vector<SubscriberPiece> pieces;
-  };
+// Every subscribing branch pipeline over the shared scan, plus the
+// per-branch shuffle work, in parallel; then the serial merge in task
+// order.
+Status JobRun::RunMapTasks() {
   std::vector<MapTaskResult> map_results(map_tasks.size());
-  RunTasks(pool_, map_tasks.size(), [&](size_t ti) {
+  RunTasks(pool, map_tasks.size(), [&](size_t ti) {
     MapTask& t = map_tasks[ti];
     MapTaskResult& res = map_results[ti];
     for (const ChunkSeg& seg : t.segs) {
@@ -730,98 +741,134 @@ Result<JobDataflow> JobRunner::Run(const Plan& plan, const JobVertex& job,
     // (pipelines share the input columns; kernels never mutate them).
     std::optional<RowBatch> chunk_batch;
     for (const auto& [bi, ii] : t.group->subscribers) {
-      SubscriberPiece& piece = res.pieces.emplace_back();
+      TaskPiece& piece = res.pieces.emplace_back();
       const Branch& b = job.branches[bi];
       const std::vector<Stage>& stages = eff_stages[bi][ii];
-      if (exec_.vectorized && BatchPipelineRunner::Eligible(stages)) {
-        if (!chunk_batch) chunk_batch = make_chunk_batch(t);
+      if (exec.vectorized && BatchPipelineRunner::Eligible(stages)) {
+        if (!chunk_batch) chunk_batch = MakeChunkBatch(t);
         BatchPipelineRunner runner = BatchPipelineRunner::Make(stages);
         RowBatch out = runner.Run(*chunk_batch);
         piece.cpu_units = runner.counters().cpu_units;
         if (b.map_only()) {
-          if (exec_.columnar) {
-            piece.out_pd = PartitionData::FromBatch(out);
-            piece.out_pd->raw_bytes();  // size in-task, off the merge path
-          } else {
-            piece.out_rows = out.ToRows();
-          }
-        } else if (bstate[bi].columnar) {
-          piece.shuffled = compute_shuffle_columnar(bi, out);
+          piece.out = PartitionData::FromBatch(out);
+          piece.out.raw_bytes();  // size in-task, off the merge path
         } else {
-          piece.shuffled = compute_shuffle_batch(bi, out);
+          piece.shuffled = ShuffleBatch(bi, out);
         }
         continue;
       }
-      TaskTeeSink tee;
-      VectorEmitter out;
-      auto runner =
-          PipelineRunner::Make(stages, t.ds->schema(), &out, &tee);
-      if (!runner.ok()) {
-        piece.status = runner.status();
-        continue;
-      }
-      for (const ChunkSeg& seg : t.segs) {
-        const auto& src = seg.pd.rows();
-        for (size_t i = seg.lo; i < seg.hi; ++i) (*runner)->Emit(src[i]);
-      }
-      (*runner)->Finish();
-      piece.cpu_units = (*runner)->counters().cpu_units;
-      piece.tee = std::move(tee.rows());
+      std::vector<Row> rows =
+          RunRowPipeline(stages, t.ds->schema(), &piece, [&](Emitter& in) {
+            for (const ChunkSeg& seg : t.segs) {
+              const auto& src = seg.pd.rows();
+              for (size_t i = seg.lo; i < seg.hi; ++i) in.Emit(src[i]);
+            }
+          });
+      if (!piece.status.ok()) continue;
       if (b.map_only()) {
-        piece.out_rows = std::move(out.rows());
+        piece.out = PartitionData(std::move(rows));
       } else {
-        piece.shuffled = compute_shuffle(bi, std::move(out.rows()));
+        piece.shuffled = ShuffleRows(bi, std::move(rows));
       }
     }
     t.segs.clear();
     t.segs.shrink_to_fit();
   });
 
-  // Serial merge in task order.
   for (size_t ti = 0; ti < map_tasks.size(); ++ti) {
     MapTask& t = map_tasks[ti];
     MapTaskResult& res = map_results[ti];
-    uint64_t logical = account_input(*t.ds, res.chunk_bytes, res.chunk_rows);
+    uint64_t logical = AccountInput(*t.ds, res.chunk_bytes, res.chunk_rows);
     df.max_map_task_input_bytes =
         std::max(df.max_map_task_input_bytes, logical);
     for (size_t si = 0; si < res.pieces.size(); ++si) {
-      SubscriberPiece& piece = res.pieces[si];
+      TaskPiece& piece = res.pieces[si];
       if (!piece.status.ok()) return piece.status;
-      const auto& [bi, ii] = t.group->subscribers[si];
-      (void)ii;
+      const size_t bi = t.group->subscribers[si].first;
       df.map_cpu_units += piece.cpu_units * t.scale;
-      drain_tee(piece.tee, t.scale);
+      DrainTee(piece.tee, t.scale);
       if (job.branches[bi].map_only()) {
-        if (piece.out_pd.has_value()) {
-          bstate[bi].output.Add(std::move(*piece.out_pd), t.scale);
-        } else {
-          bstate[bi].output.Add(std::move(piece.out_rows), t.scale);
-        }
+        bstate[bi].output.Add(std::move(piece.out), t.scale);
       } else {
-        merge_shuffle(bi, std::move(piece.shuffled), t.scale);
+        MergeShuffle(bi, std::move(piece.shuffled), t.scale);
       }
     }
   }
   map_results.clear();
   map_tasks.clear();
+  return Status::OK();
+}
 
-  // ---- Map phase: merge-mode branches (co-aligned inputs) -----------------
-  // Merge-mode branches stay on the record-at-a-time path regardless of
-  // ExecOptions::vectorized: their per-input streams are concatenated and
-  // re-sorted across pipelines, which breaks the single-physical-index-space
-  // invariant batch pipelines rely on for exact CPU-accounting replay.
-  struct MergeBranchCtx {
-    size_t bi = 0;
-    std::vector<DatasetPtr> inputs_ds;
-    std::vector<std::vector<int>> inputs_parts;
-    std::vector<size_t> merge_sort_idx;
-  };
+// One merge-mode task: task `t` of every input's partition list, each run
+// through its input pipeline, interleaved by sort order, then through the
+// merged map pipeline.
+MergeTaskResult JobRun::RunMergeTask(const MergeBranchCtx& ctx,
+                                     size_t t) const {
+  MergeTaskResult res;
+  const Branch& b = job.branches[ctx.bi];
+  std::vector<Row> merged;
+  double task_scaled_bytes = 0.0;
+  uint64_t task_physical_bytes = 0;
+  for (size_t i = 0; i < b.inputs.size(); ++i) {
+    if (t >= ctx.inputs_parts[i].size()) continue;
+    const StoredDataset& ds = *ctx.inputs_ds[i];
+    const std::vector<Row>& part =
+        ds.partition(static_cast<size_t>(ctx.inputs_parts[i][t]));
+    uint64_t pb = RowsBytes(part);
+    // Same arithmetic as AccountInput's `logical`, without the dataflow
+    // mutation (that happens at merge).
+    uint64_t logical = static_cast<uint64_t>(static_cast<double>(pb) *
+                                             ds.logical_scale());
+    res.task_logical_bytes += logical;
+    task_scaled_bytes += static_cast<double>(logical);
+    task_physical_bytes += pb;
+
+    MergeInputPiece& piece = res.pieces.emplace_back();
+    piece.input_index = i;
+    piece.pb = pb;
+    piece.nrows = part.size();
+    std::vector<Row> rows = RunRowPipeline(
+        b.inputs[i].map_stages, ds.schema(), &piece, [&](Emitter& in) {
+          for (const Row& row : part) in.Emit(row);
+        });
+    if (!piece.status.ok()) {
+      res.status = piece.status;
+      return res;
+    }
+    merged.insert(merged.end(), std::make_move_iterator(rows.begin()),
+                  std::make_move_iterator(rows.end()));
+  }
+  res.task_scale =
+      task_physical_bytes > 0
+          ? task_scaled_bytes / static_cast<double>(task_physical_bytes)
+          : 1.0;
+
+  // Co-aligned merge: interleave the per-input streams by sort order.
+  std::stable_sort(merged.begin(), merged.end(),
+                   [&](const Row& a, const Row& bb) {
+                     return CompareOnFields(a, bb, ctx.merge_sort_idx) < 0;
+                   });
+  std::vector<Row> rows = RunRowPipeline(
+      b.merged_map_stages, b.merge_schema, &res, [&](Emitter& in) {
+        for (const Row& row : merged) in.Emit(row);
+      });
+  if (!res.status.ok()) return res;
+  if (b.map_only()) {
+    res.out = PartitionData(std::move(rows));
+  } else {
+    res.shuffled = ShuffleRows(ctx.bi, std::move(rows));
+  }
+  return res;
+}
+
+// Merge-mode branches (co-aligned inputs) stay on the record-at-a-time
+// path regardless of ExecOptions::vectorized: their per-input streams are
+// concatenated and re-sorted across pipelines, which breaks the
+// single-physical-index-space invariant batch pipelines rely on for exact
+// CPU-accounting replay.
+Status JobRun::RunMergeModeTasks() {
   std::vector<MergeBranchCtx> merge_ctx;
-  struct MergeTask {
-    size_t ctx = 0;
-    size_t t = 0;
-  };
-  std::vector<MergeTask> merge_tasks;
+  std::vector<std::pair<size_t, size_t>> merge_tasks;  // (ctx, task index)
   for (size_t bi = 0; bi < nb; ++bi) {
     const Branch& b = job.branches[bi];
     if (!b.merge_mode()) continue;
@@ -844,127 +891,47 @@ Result<JobDataflow> JobRunner::Run(const Plan& plan, const JobVertex& job,
                             b.merge_schema.IndicesOf(b.merge_sort_fields));
     merge_ctx.push_back(std::move(ctx));
     for (size_t t = 0; t < max_parts; ++t) {
-      merge_tasks.push_back(MergeTask{merge_ctx.size() - 1, t});
+      merge_tasks.emplace_back(merge_ctx.size() - 1, t);
     }
   }
 
-  struct MergeInputPiece {
-    size_t input_index = 0;
-    uint64_t pb = 0;  ///< physical bytes read
-    size_t nrows = 0;
-    double cpu_units = 0.0;
-    TeeRows tee;
-  };
-  struct MergeTaskResult {
-    Status status = Status::OK();
-    std::vector<MergeInputPiece> pieces;
-    uint64_t task_logical_bytes = 0;
-    double task_scale = 1.0;
-    double merged_cpu_units = 0.0;
-    TeeRows merged_tee;
-    std::vector<Row> out_rows;  // map-only branches
-    ShuffledOutput shuffled;    // shuffle branches
-  };
   std::vector<MergeTaskResult> merge_results(merge_tasks.size());
-  RunTasks(pool_, merge_tasks.size(), [&](size_t ti) {
-    const MergeBranchCtx& ctx = merge_ctx[merge_tasks[ti].ctx];
-    const size_t t = merge_tasks[ti].t;
-    MergeTaskResult& res = merge_results[ti];
-    const Branch& b = job.branches[ctx.bi];
-
-    std::vector<Row> merged;
-    double task_scaled_bytes = 0.0;
-    uint64_t task_physical_bytes = 0;
-    for (size_t i = 0; i < b.inputs.size(); ++i) {
-      if (t >= ctx.inputs_parts[i].size()) continue;
-      const StoredDataset& ds = *ctx.inputs_ds[i];
-      const std::vector<Row>& part =
-          ds.partition(static_cast<size_t>(ctx.inputs_parts[i][t]));
-      uint64_t pb = RowsBytes(part);
-      // Same arithmetic as account_input's `logical`, without the dataflow
-      // mutation (that happens at merge).
-      uint64_t logical = static_cast<uint64_t>(static_cast<double>(pb) *
-                                               ds.logical_scale());
-      res.task_logical_bytes += logical;
-      task_scaled_bytes += static_cast<double>(logical);
-      task_physical_bytes += pb;
-
-      MergeInputPiece& piece = res.pieces.emplace_back();
-      piece.input_index = i;
-      piece.pb = pb;
-      piece.nrows = part.size();
-      TaskTeeSink tee;
-      VectorEmitter out;
-      auto runner = PipelineRunner::Make(b.inputs[i].map_stages, ds.schema(),
-                                         &out, &tee);
-      if (!runner.ok()) {
-        res.status = runner.status();
-        return;
-      }
-      for (const Row& row : part) (*runner)->Emit(row);
-      (*runner)->Finish();
-      piece.cpu_units = (*runner)->counters().cpu_units;
-      piece.tee = std::move(tee.rows());
-      merged.insert(merged.end(), std::make_move_iterator(out.rows().begin()),
-                    std::make_move_iterator(out.rows().end()));
-    }
-    res.task_scale =
-        task_physical_bytes > 0
-            ? task_scaled_bytes / static_cast<double>(task_physical_bytes)
-            : 1.0;
-
-    // Co-aligned merge: interleave the per-input streams by sort order.
-    std::stable_sort(merged.begin(), merged.end(),
-                     [&](const Row& a, const Row& bb) {
-                       return CompareOnFields(a, bb, ctx.merge_sort_idx) < 0;
-                     });
-    TaskTeeSink tee;
-    VectorEmitter out;
-    auto runner =
-        PipelineRunner::Make(b.merged_map_stages, b.merge_schema, &out, &tee);
-    if (!runner.ok()) {
-      res.status = runner.status();
-      return;
-    }
-    for (const Row& row : merged) (*runner)->Emit(row);
-    (*runner)->Finish();
-    res.merged_cpu_units = (*runner)->counters().cpu_units;
-    res.merged_tee = std::move(tee.rows());
-    if (b.map_only()) {
-      res.out_rows = std::move(out.rows());
-    } else {
-      res.shuffled = compute_shuffle(ctx.bi, std::move(out.rows()));
-    }
+  RunTasks(pool, merge_tasks.size(), [&](size_t ti) {
+    merge_results[ti] =
+        RunMergeTask(merge_ctx[merge_tasks[ti].first], merge_tasks[ti].second);
   });
 
   for (size_t ti = 0; ti < merge_tasks.size(); ++ti) {
-    const MergeBranchCtx& ctx = merge_ctx[merge_tasks[ti].ctx];
+    const MergeBranchCtx& ctx = merge_ctx[merge_tasks[ti].first];
     MergeTaskResult& res = merge_results[ti];
     if (!res.status.ok()) return res.status;
     const Branch& b = job.branches[ctx.bi];
     for (MergeInputPiece& piece : res.pieces) {
       const StoredDataset& ds = *ctx.inputs_ds[piece.input_index];
-      account_input(ds, piece.pb, piece.nrows);
+      AccountInput(ds, piece.pb, piece.nrows);
       df.map_cpu_units += piece.cpu_units * ds.logical_scale();
-      drain_tee(piece.tee, ds.logical_scale());
+      DrainTee(piece.tee, ds.logical_scale());
     }
     df.max_map_task_input_bytes =
         std::max(df.max_map_task_input_bytes, res.task_logical_bytes);
-    df.map_cpu_units += res.merged_cpu_units * res.task_scale;
-    drain_tee(res.merged_tee, res.task_scale);
+    df.map_cpu_units += res.cpu_units * res.task_scale;
+    DrainTee(res.tee, res.task_scale);
     if (b.map_only()) {
-      bstate[ctx.bi].output.Add(std::move(res.out_rows), res.task_scale);
+      bstate[ctx.bi].output.Add(std::move(res.out), res.task_scale);
     } else {
-      merge_shuffle(ctx.bi, std::move(res.shuffled), res.task_scale);
+      MergeShuffle(ctx.bi, std::move(res.shuffled), res.task_scale);
     }
   }
   merge_results.clear();
   merge_tasks.clear();
+  return Status::OK();
+}
 
-  // Combine-effectiveness accounting at logical scale: a map task emitting
-  // n records over G distinct groups combines down to about
-  // G*(1-exp(-n/G)) records. The what-if engine uses the same model, so
-  // estimation error stems from its profiled G, not from model mismatch.
+// Combine-effectiveness accounting at logical scale: a map task emitting n
+// records over G distinct groups combines down to about G*(1-exp(-n/G))
+// records. The what-if engine uses the same model, so estimation error
+// stems from its profiled G, not from model mismatch.
+void JobRun::ModelCombine() {
   for (size_t bi = 0; bi < nb; ++bi) {
     const Branch& b = job.branches[bi];
     if (b.map_only()) continue;
@@ -987,174 +954,130 @@ Result<JobDataflow> JobRunner::Run(const Plan& plan, const JobVertex& job,
     df.combine_output_bytes +=
         static_cast<uint64_t>(st.raw_scaled_bytes * st.combine_ratio);
   }
+}
 
-  // ---- Reduce phase --------------------------------------------------------
-  // Columnar branches (bstate.columnar) run the reduce side batched: the
-  // per-map bucket batches are concatenated in task order, sorted by
-  // selection permutation (same stable sort, same comparator, same initial
-  // order as the row path — hence the same permutation), and grouped runs go
-  // through the reducer's batch kernel. Everything else runs
-  // record-at-a-time exactly as before.
-  if (!map_only) {
-    // One task per reduce partition; task r exclusively owns every branch's
-    // bucket r, so sorting in place and draining the rows is race-free.
-    struct ReducePiece {
-      Status status = Status::OK();
-      bool had_rows = false;
-      double cpu_units = 0.0;
-      TeeRows tee;
-      std::vector<Row> out_rows;            // row path
-      std::optional<PartitionData> out_pd;  // columnar path
-    };
-    struct ReduceTaskResult {
-      std::vector<ReducePiece> pieces;  // indexed by branch
-    };
-    std::vector<ReduceTaskResult> reduce_results(static_cast<size_t>(R));
-    RunTasks(pool_, static_cast<size_t>(R), [&](size_t ri) {
-      ReduceTaskResult& res = reduce_results[ri];
-      res.pieces.resize(nb);
-      for (size_t bi = 0; bi < nb; ++bi) {
-        const Branch& b = job.branches[bi];
-        if (b.map_only()) continue;
-        BranchState& st = bstate[bi];
-        ReducePiece& piece = res.pieces[bi];
+// Columnar reduce of branch `bi`'s bucket `ri`: the per-map bucket batches
+// are concatenated in task order, sorted by selection permutation (same
+// stable sort, same comparator, same initial order as the row path — hence
+// the same permutation), and grouped runs go through the reducer's batch
+// kernel.
+TaskPiece JobRun::ReduceBatches(size_t bi, size_t ri) {
+  const Branch& b = job.branches[bi];
+  BranchState& st = bstate[bi];
+  TaskPiece piece;
+  auto& batches = st.reduce_batches[ri];
+  RowBatch merged = batches.size() == 1
+                        ? std::move(batches.front())
+                        : ConcatBatches(batches, b.map_output_schema.size());
+  batches.clear();
+  batches.shrink_to_fit();
 
-        if (st.columnar) {
-          auto& batches = st.reduce_batches[ri];
-          size_t total = 0;
-          for (const RowBatch& rb : batches) total += rb.num_rows();
-          piece.had_rows = total > 0;
-          RowBatch merged;
-          if (batches.size() == 1) {
-            merged = std::move(batches.front());
-          } else {
-            // Concatenate the bucket batches (map-task order) column-wise
-            // into one dense batch — the columnar twin of the row path's
-            // bucket concatenation.
-            const size_t ncols = b.map_output_schema.size();
-            std::vector<RowBatch::ColumnPtr> cols;
-            cols.reserve(ncols);
-            for (size_t c = 0; c < ncols; ++c) {
-              auto col = std::make_shared<RowBatch::Column>();
-              col->reserve(total);
-              for (const RowBatch& rb : batches) {
-                for (size_t i = 0; i < rb.num_rows(); ++i) {
-                  col->push_back(rb.At(i, c));
-                }
-              }
-              cols.push_back(std::move(col));
-            }
-            merged = RowBatch::FromColumns(
-                std::move(cols), std::vector<uint32_t>(ncols, 1), total);
-          }
-          batches.clear();
-          batches.shrink_to_fit();
+  // Merge the per-map sorted segments (modeled as one stable sort) by
+  // permuting the selection.
+  std::vector<uint32_t> perm(merged.num_rows());
+  std::iota(perm.begin(), perm.end(), 0u);
+  std::stable_sort(perm.begin(), perm.end(), [&](uint32_t a, uint32_t bb) {
+    return merged.Compare(a, bb, st.partition_sort_indices) < 0;
+  });
+  std::vector<uint32_t> sel;
+  sel.reserve(perm.size());
+  for (uint32_t p : perm) sel.push_back(merged.selection()[p]);
+  merged.SetSelection(std::move(sel));
 
-          // Merge the per-map sorted segments (modeled as one stable sort)
-          // by permuting the selection.
-          std::vector<uint32_t> perm(merged.num_rows());
-          std::iota(perm.begin(), perm.end(), 0u);
-          std::stable_sort(perm.begin(), perm.end(),
-                           [&](uint32_t a, uint32_t bb) {
-                             return merged.Compare(
-                                        a, bb, st.partition_sort_indices) < 0;
-                           });
-          std::vector<uint32_t> sel;
-          sel.reserve(perm.size());
-          for (uint32_t p : perm) sel.push_back(merged.selection()[p]);
-          merged.SetSelection(std::move(sel));
-
-          auto runner =
-              BatchReducePipeline::Make(b.reduce_stages, b.map_output_schema);
-          if (!runner.ok()) {
-            piece.status = runner.status();
-            continue;
-          }
-          RowBatch out = runner->Run(merged);
-          piece.cpu_units = runner->counters().cpu_units;
-          piece.out_pd = PartitionData::FromBatch(out);
-          piece.out_pd->raw_bytes();  // size in-task, off the merge path
-          continue;
-        }
-
-        auto& rows = st.reduce_buckets[ri];
-        piece.had_rows = !rows.empty();
-
-        // Merge the per-map sorted segments (modeled as one stable sort).
-        std::stable_sort(rows.begin(), rows.end(),
-                         [&](const Row& a, const Row& bb) {
-                           return CompareOnFields(
-                                      a, bb, st.partition_sort_indices) < 0;
-                         });
-        TaskTeeSink tee;
-        VectorEmitter out;
-        auto runner = PipelineRunner::Make(b.reduce_stages,
-                                           b.map_output_schema, &out, &tee);
-        if (!runner.ok()) {
-          piece.status = runner.status();
-          continue;
-        }
-        for (const Row& row : rows) (*runner)->Emit(row);
-        (*runner)->Finish();
-        piece.cpu_units = (*runner)->counters().cpu_units;
-        piece.tee = std::move(tee.rows());
-        piece.out_rows = std::move(out.rows());
-        rows.clear();
-        rows.shrink_to_fit();
-      }
-    });
-
-    for (int r = 0; r < R; ++r) {
-      ReduceTaskResult& res = reduce_results[static_cast<size_t>(r)];
-      double partition_scaled_bytes = 0.0;
-      bool nonempty = false;
-      for (size_t bi = 0; bi < nb; ++bi) {
-        const Branch& b = job.branches[bi];
-        if (b.map_only()) continue;
-        BranchState& st = bstate[bi];
-        const size_t ri = static_cast<size_t>(r);
-        ReducePiece& piece = res.pieces[bi];
-        if (!piece.status.ok()) return piece.status;
-        partition_scaled_bytes +=
-            st.bucket_scaled_bytes[ri] * st.combine_ratio;
-        // Plain logical/physical data ratio (combine-independent): scales
-        // the reduce pipeline's outputs, whose record counts track groups,
-        // not pre-aggregation.
-        double scale = st.bucket_physical_records[ri] > 0
-                           ? st.bucket_scaled_records[ri] /
-                                 static_cast<double>(
-                                     st.bucket_physical_records[ri])
-                           : 1.0;
-        // Reduce-side CPU processes the logically-combined stream.
-        double cpu_scale =
-            st.bucket_physical_post_records[ri] > 0
-                ? st.bucket_scaled_records[ri] * st.combine_ratio /
-                      static_cast<double>(st.bucket_physical_post_records[ri])
-                : 1.0;
-        if (piece.had_rows) nonempty = true;
-
-        df.reduce_input_records += static_cast<uint64_t>(
-            st.bucket_scaled_records[ri] * st.combine_ratio);
-        df.reduce_input_bytes += static_cast<uint64_t>(
-            st.bucket_scaled_bytes[ri] * st.combine_ratio);
-        df.reduce_cpu_units += piece.cpu_units * cpu_scale;
-        drain_tee(piece.tee, scale);
-        if (piece.out_pd.has_value()) {
-          st.output.AddTo(static_cast<size_t>(r), std::move(*piece.out_pd),
-                          scale);
-        } else {
-          st.output.AddTo(static_cast<size_t>(r), std::move(piece.out_rows),
-                          scale);
-        }
-      }
-      if (nonempty) df.nonempty_reduce_partitions++;
-      df.max_reduce_input_bytes =
-          std::max(df.max_reduce_input_bytes,
-                   static_cast<uint64_t>(partition_scaled_bytes));
-    }
+  auto runner = BatchReducePipeline::Make(b.reduce_stages, b.map_output_schema);
+  if (!runner.ok()) {
+    piece.status = runner.status();
+    return piece;
   }
+  RowBatch out = runner->Run(merged);
+  piece.cpu_units = runner->counters().cpu_units;
+  piece.out = PartitionData::FromBatch(out);
+  piece.out.raw_bytes();  // size in-task, off the merge path
+  return piece;
+}
 
-  // ---- Materialize outputs -------------------------------------------------
+// Record-at-a-time reduce of branch `bi`'s bucket `ri`.
+TaskPiece JobRun::ReduceRows(size_t bi, size_t ri) {
+  const Branch& b = job.branches[bi];
+  BranchState& st = bstate[bi];
+  TaskPiece piece;
+  auto& rows = st.reduce_buckets[ri];
+
+  // Merge the per-map sorted segments (modeled as one stable sort).
+  std::stable_sort(rows.begin(), rows.end(), [&](const Row& a, const Row& bb) {
+    return CompareOnFields(a, bb, st.partition_sort_indices) < 0;
+  });
+  std::vector<Row> out = RunRowPipeline(
+      b.reduce_stages, b.map_output_schema, &piece, [&](Emitter& in) {
+        for (const Row& row : rows) in.Emit(row);
+      });
+  if (!piece.status.ok()) return piece;
+  piece.out = PartitionData(std::move(out));
+  rows.clear();
+  rows.shrink_to_fit();
+  return piece;
+}
+
+// One task per reduce partition; task r exclusively owns every branch's
+// bucket r, so sorting in place and draining it is race-free. The serial
+// merge then accounts the partitions in order.
+Status JobRun::RunReduceTasks() {
+  if (job.map_only()) return Status::OK();
+  // reduce_results[r][bi]: branch bi's piece of reduce task r.
+  std::vector<std::vector<TaskPiece>> reduce_results(static_cast<size_t>(R));
+  RunTasks(pool, static_cast<size_t>(R), [&](size_t ri) {
+    std::vector<TaskPiece>& pieces = reduce_results[ri];
+    pieces.resize(nb);
+    for (size_t bi = 0; bi < nb; ++bi) {
+      if (job.branches[bi].map_only()) continue;
+      pieces[bi] = bstate[bi].columnar ? ReduceBatches(bi, ri)
+                                       : ReduceRows(bi, ri);
+    }
+  });
+
+  for (size_t ri = 0; ri < static_cast<size_t>(R); ++ri) {
+    double partition_scaled_bytes = 0.0;
+    bool nonempty = false;
+    for (size_t bi = 0; bi < nb; ++bi) {
+      if (job.branches[bi].map_only()) continue;
+      BranchState& st = bstate[bi];
+      TaskPiece& piece = reduce_results[ri][bi];
+      if (!piece.status.ok()) return piece.status;
+      partition_scaled_bytes += st.bucket_scaled_bytes[ri] * st.combine_ratio;
+      // Plain logical/physical data ratio (combine-independent): scales
+      // the reduce pipeline's outputs, whose record counts track groups,
+      // not pre-aggregation.
+      double scale =
+          st.bucket_physical_records[ri] > 0
+              ? st.bucket_scaled_records[ri] /
+                    static_cast<double>(st.bucket_physical_records[ri])
+              : 1.0;
+      // Reduce-side CPU processes the logically-combined stream.
+      double cpu_scale =
+          st.bucket_physical_post_records[ri] > 0
+              ? st.bucket_scaled_records[ri] * st.combine_ratio /
+                    static_cast<double>(st.bucket_physical_post_records[ri])
+              : 1.0;
+      if (st.bucket_physical_post_records[ri] > 0) nonempty = true;
+
+      df.reduce_input_records += static_cast<uint64_t>(
+          st.bucket_scaled_records[ri] * st.combine_ratio);
+      df.reduce_input_bytes += static_cast<uint64_t>(
+          st.bucket_scaled_bytes[ri] * st.combine_ratio);
+      df.reduce_cpu_units += piece.cpu_units * cpu_scale;
+      DrainTee(piece.tee, scale);
+      st.output.Add(std::move(piece.out), scale);
+    }
+    if (nonempty) df.nonempty_reduce_partitions++;
+    df.max_reduce_input_bytes =
+        std::max(df.max_reduce_input_bytes,
+                 static_cast<uint64_t>(partition_scaled_bytes));
+  }
+  return Status::OK();
+}
+
+// Materializes every branch output and every declared tee in the DFS.
+Status JobRun::WriteOutputs() {
   for (size_t bi = 0; bi < nb; ++bi) {
     const Branch& b = job.branches[bi];
     BranchState& st = bstate[bi];
@@ -1163,10 +1086,6 @@ Result<JobDataflow> JobRunner::Run(const Plan& plan, const JobVertex& job,
     Layout layout = DeriveOutputLayout(b, job.config, dv->schema);
     auto out_ds =
         std::make_shared<StoredDataset>(b.output_dataset, dv->schema, layout);
-    if (!b.map_only() &&
-        st.output.partitions.size() < static_cast<size_t>(R)) {
-      st.output.partitions.resize(static_cast<size_t>(R));
-    }
     for (auto& p : st.output.partitions) out_ds->AddPartition(std::move(p));
     out_ds->set_logical_scale(st.output.LogicalScale());
     df.output_records += static_cast<uint64_t>(st.output.scaled_records);
@@ -1186,7 +1105,24 @@ Result<JobDataflow> JobRunner::Run(const Plan& plan, const JobVertex& job,
     }
     dfs->PutOrReplace(std::move(ds));
   }
-  return df;
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<JobDataflow> JobRunner::Run(const Plan& plan, const JobVertex& job,
+                                   Dfs* dfs) const {
+  JobRun run(cluster_, pool_, exec_, plan, job, dfs);
+  STUBBY_RETURN_NOT_OK(run.PlanBranches());
+  STUBBY_RETURN_NOT_OK(run.BuildBloomFilters());
+  const std::vector<InputGroup> groups = GroupBranchInputs(job);
+  STUBBY_RETURN_NOT_OK(run.FormMapTasks(groups));
+  STUBBY_RETURN_NOT_OK(run.RunMapTasks());
+  STUBBY_RETURN_NOT_OK(run.RunMergeModeTasks());
+  run.ModelCombine();
+  STUBBY_RETURN_NOT_OK(run.RunReduceTasks());
+  STUBBY_RETURN_NOT_OK(run.WriteOutputs());
+  return std::move(run.df);
 }
 
 }  // namespace stubby

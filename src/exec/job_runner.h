@@ -28,29 +28,20 @@ class ThreadPool;
 Result<PartitionSpec> ResolvePartitionSpec(const Branch& branch, int R,
                                            const Dfs& dfs);
 
-/// Executor knobs. These are pure wall-time switches: outputs, plans, and
-/// every dataflow metric are bit-identical whatever their values.
+/// Executor knobs. A pure wall-time switch: outputs, plans, and every
+/// dataflow metric are bit-identical whatever its value.
 struct ExecOptions {
-  /// Columnar batch execution (RowBatch + BatchPipelineRunner) of eligible
-  /// map pipelines and the map-side shuffle; ineligible pipelines fall back
-  /// to record-at-a-time execution. Driven by
+  /// Columnar batch execution: eligible map pipelines run as batch kernels
+  /// (BatchPipelineRunner) over zero-copy RowBatch views of the stored
+  /// columns, shuffle buckets stay selection vectors over shared columns,
+  /// batchable reduce pipelines run their grouped-aggregate kernels, and
+  /// batch outputs are stored column-native. Pipelines without a batch
+  /// kernel (merge mode, stateful/tee stages, non-batch combiners) take the
+  /// record-at-a-time path, which is also the whole run when this is off —
+  /// the oracle the batch path is checked against. Driven by
   /// StubbyOptions::vectorized_exec.
   bool vectorized = true;
-  /// Column-native storage boundary: scan chunks as zero-copy RowBatch
-  /// views over PartitionData columns (no per-chunk FromRows), keep shuffle
-  /// buckets as selection vectors over shared columns, batch eligible
-  /// reduce pipelines, and store batch outputs column-native. Only takes
-  /// effect when `vectorized` is on; ineligible branches (merge mode,
-  /// stateful/tee stages, non-batch combiners) fall back to the row path.
-  /// Driven by StubbyOptions::columnar_storage.
-  bool columnar = true;
 };
-
-/// True unless STUBBY_COLUMNAR=0 in the environment. The CLI and the
-/// benches seed StubbyOptions::columnar_storage (and their direct
-/// WorkflowRunner ExecOptions) from this, so a columnar-off A/B needs no
-/// rebuild; library callers are unaffected.
-bool ColumnarStorageFromEnv();
 
 /// Executes single jobs against a Dfs. The pool, when given, is borrowed
 /// for the duration of each Run call.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <set>
 
@@ -152,12 +151,6 @@ std::vector<Application> BloomTransferTransform::FindApplications(
     }
   }
   return apps;
-}
-
-bool BloomTransferFromEnv(bool fallback) {
-  const char* env = std::getenv("STUBBY_BLOOM");
-  if (env == nullptr) return fallback;
-  return std::string(env) != "0";
 }
 
 }  // namespace stubby

@@ -23,9 +23,4 @@ class BloomTransferTransform : public Transformation {
       const std::vector<std::string>& unit_jobs) const override;
 };
 
-/// True when STUBBY_BLOOM=1 (or any value but "0") in the environment;
-/// `fallback` when unset. The CLI and benches seed
-/// StubbyOptions::bloom_transfer from this, mirroring STUBBY_REOPT.
-bool BloomTransferFromEnv(bool fallback = false);
-
 }  // namespace stubby

@@ -4,6 +4,7 @@
 #include <optional>
 #include <set>
 
+#include "common/clock.h"
 #include "common/logging.h"
 #include "common/threading.h"
 #include "optimizer/bloom.h"
@@ -122,9 +123,7 @@ Result<OptimizeReport> StubbyOptimizer::Optimize(const Plan& plan) const {
       report.reuse_materialized = true;
       report.reuse_lineage_seeds = std::move(elided.materialized_lineage);
       report.reuse_pinned = std::move(elided.pinned_snapshots);
-      report.optimization_time_sec =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count();
+      report.optimization_time_sec = SecondsSince(t0);
       return report;
     }
   }
@@ -226,9 +225,7 @@ Result<OptimizeReport> StubbyOptimizer::Optimize(const Plan& plan) const {
           p, RunPhase(std::move(p), group, whatif, pool, r, rs));
       PhaseReport phase;
       phase.name = std::move(name);
-      phase.wall_sec =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - p0)
-              .count();
+      phase.wall_sec = SecondsSince(p0);
       phase.units_processed = r->units_processed - units_before;
       phase.subplans_enumerated = r->subplans_enumerated - subplans_before;
       r->phases.push_back(std::move(phase));
@@ -297,9 +294,7 @@ Result<OptimizeReport> StubbyOptimizer::Optimize(const Plan& plan) const {
         posthoc.stats.signature_keys_computed;
     PhaseReport floor_phase;
     floor_phase.name = "reuse-floor";
-    floor_phase.wall_sec =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - f0)
-            .count();
+    floor_phase.wall_sec = SecondsSince(f0);
     floor_phase.units_processed = floor_report.units_processed;
     floor_phase.subplans_enumerated = floor_report.subplans_enumerated;
     report.phases.push_back(std::move(floor_phase));
@@ -349,9 +344,7 @@ Result<OptimizeReport> StubbyOptimizer::Optimize(const Plan& plan) const {
   report.plan = std::move(current);
   report.estimated_cost = final_cost.cost;
   report.fallback = final_cost.fallback;
-  report.optimization_time_sec =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  report.optimization_time_sec = SecondsSince(t0);
   return report;
 }
 

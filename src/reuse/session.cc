@@ -2,17 +2,13 @@
 
 #include <chrono>
 
+#include "common/clock.h"
 #include "exec/workflow_runner.h"
 #include "reuse/signature.h"
 
 namespace stubby {
 
 namespace {
-
-double SecondsSince(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
 
 /// Releases the optimizer's snapshot pins on every exit path — staging or
 /// execution failures must not leave snapshots pinned against eviction
@@ -67,11 +63,12 @@ Result<ReuseSessionResult> ReuseSession::Run(const Plan& plan, const Dfs& dfs,
     run_dfs.PutOrReplace(CloneDataset(*snapshot, id));
   }
 
-  const ExecOptions exec{options.vectorized_exec, options.columnar_storage};
+  const ExecOptions exec{options.vectorized_exec};
   if (options.reoptimize) {
-    // Adaptive execution: WorkflowRunner's loop plus the observed-vs-
-    // predicted dataflow check and mid-run suffix re-optimization. An exact
-    // no-op (bit-identical dataflow and outputs) when no check fires.
+    // Adaptive execution: WorkflowRunner's loop with the observed-vs-
+    // predicted dataflow check and mid-run suffix re-optimization hooked in.
+    // An exact no-op (bit-identical dataflow and outputs) when no check
+    // fires.
     AdaptiveRunner runner(plan.cluster(), pool, exec, options);
     STUBBY_ASSIGN_OR_RETURN(AdaptiveRunResult adaptive,
                             runner.Run(result.report.plan, &run_dfs));

@@ -2,17 +2,13 @@
 
 #include <utility>
 
+#include "common/clock.h"
 #include "common/strings.h"
 #include "common/threading.h"
 
 namespace stubby {
 
 namespace {
-
-double SecondsSince(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
 
 /// Parses the ordinal of a store snapshot id ("rs/<n>").
 bool SnapshotOrdinal(const std::string& id, uint64_t* out) {

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "common/env.h"
 #include "common/rng.h"
 #include "common/threading.h"
 #include "exec/workflow_runner.h"
@@ -188,12 +189,12 @@ TEST(BloomProbeMapFnTest, EmptyBatchAndBroadcastColumns) {
 
 TEST(BloomTransferFromEnvTest, ParsesStubbyBloom) {
   unsetenv("STUBBY_BLOOM");
-  EXPECT_FALSE(BloomTransferFromEnv());
-  EXPECT_TRUE(BloomTransferFromEnv(/*fallback=*/true));
+  EXPECT_FALSE(EnvFlag("STUBBY_BLOOM"));
+  EXPECT_TRUE(EnvFlag("STUBBY_BLOOM", /*fallback=*/true));
   setenv("STUBBY_BLOOM", "0", 1);
-  EXPECT_FALSE(BloomTransferFromEnv(/*fallback=*/true));
+  EXPECT_FALSE(EnvFlag("STUBBY_BLOOM", /*fallback=*/true));
   setenv("STUBBY_BLOOM", "1", 1);
-  EXPECT_TRUE(BloomTransferFromEnv());
+  EXPECT_TRUE(EnvFlag("STUBBY_BLOOM"));
   unsetenv("STUBBY_BLOOM");
 }
 

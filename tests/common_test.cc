@@ -1,9 +1,12 @@
-// Tests for common/: Status, Result, Rng, and string helpers.
+// Tests for common/: Status, Result, Rng, string helpers, and env flags.
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <optional>
 #include <set>
 
+#include "common/env.h"
 #include "common/result.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -163,6 +166,35 @@ TEST(StringsTest, HashIsStableAndSpreads) {
 TEST(StringsTest, StartsWith) {
   EXPECT_TRUE(StartsWith("foobar", "foo"));
   EXPECT_FALSE(StartsWith("fo", "foo"));
+}
+
+// Every boolean knob parses alike: unset -> fallback, "0" -> off, anything
+// else (the empty string included) -> on.
+TEST(EnvFlagTest, ParsesStubbyFlags) {
+  struct Case {
+    std::optional<const char*> value;  ///< nullopt: unset
+    bool fallback;
+    bool want;
+  };
+  const Case cases[] = {
+      {std::nullopt, false, false}, {std::nullopt, true, true},
+      {"0", true, false},           {"0", false, false},
+      {"1", false, true},           {"yes", false, true},
+      {"", false, true},
+  };
+  for (const char* name : {"STUBBY_REOPT", "STUBBY_BLOOM", "STUBBY_TEST_FLAG"}) {
+    for (const Case& c : cases) {
+      if (c.value.has_value()) {
+        setenv(name, *c.value, 1);
+      } else {
+        unsetenv(name);
+      }
+      EXPECT_EQ(EnvFlag(name, c.fallback), c.want)
+          << name << "=" << c.value.value_or("(unset)") << " fallback "
+          << c.fallback;
+    }
+    unsetenv(name);
+  }
 }
 
 }  // namespace

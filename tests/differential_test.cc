@@ -4,8 +4,7 @@
 // reuse-aware search (twice, so the second run prices store hits inside the
 // unit search), the post-hoc rewrite path, the warm search with the
 // signature probe memo on vs off, the reuse-blind session with the
-// columnar batch executor off, the reuse-blind session with
-// column-native storage off, the bloom-transfer knob off (`bloom_off`,
+// columnar batch executor off, the bloom-transfer knob off (`bloom_off`,
 // byte-transparent against the blind run) and on (`bloom_on`, the sixth
 // transformation enumerates for real on the selective-join seeds; its
 // probe pre-filters drop rows yet outputs must still match the oracle —
@@ -18,10 +17,9 @@
 // workflow outputs matching the oracle (after a canonical row sort;
 // optimized plans may emit rows in a different order), and plans, cost
 // bits, and reuse + adaptive counters must not depend on thread count.
-// The batch-off and columnar-off legs additionally pin down the
-// transparency contracts of StubbyOptions::vectorized_exec and
-// ::columnar_storage: raw output order, makespan bits, and per-job
-// dataflow accounting match the default run exactly. A final daemon leg
+// The batch-off legs additionally pin down the transparency contract of
+// StubbyOptions::vectorized_exec: raw output order, makespan bits, and
+// per-job dataflow accounting match the default run exactly. A final daemon leg
 // replays each seed through stubbyd (three tenants, one wave) and asserts
 // bit-identity with a sequential fresh-session loop at 1 and 4 threads.
 // The nightly TSan leg runs this same file with a larger seed sweep
@@ -33,8 +31,8 @@
 // those seeds compare optimized plans against the oracle with the
 // tolerance-aware RowsApproxEqual. All other seeds stay integer-valued
 // (sums ≤ 2^53 are exact), where the oracle comparison is bit-level.
-// Same-plan A/B legs (batch-off, columnar-off, thread invariance, daemon
-// vs sequential) stay bit-level in BOTH modes: identical plans execute in
+// Same-plan A/B legs (batch-off, thread invariance, daemon vs
+// sequential) stay bit-level in BOTH modes: identical plans execute in
 // identical order, so even float results must agree to the bit.
 
 #include <gtest/gtest.h>
@@ -169,29 +167,21 @@ TEST_P(DifferentialEquivalence, EveryEmittedPlanMatchesTheOracle) {
   ASSERT_TRUE(oracle.ok()) << oracle.status();
 
   // Executor-level transparency: the unoptimized plan with the batch
-  // executor off, and with batches on but column-native storage off, must
-  // reproduce raw outputs, makespan bits, and the per-job dataflow
-  // accounting exactly.
-  for (const auto& [label, exec] :
-       std::initializer_list<std::pair<const char*, ExecOptions>>{
-           {"batch-off", ExecOptions{false}},
-           {"columnar-off", ExecOptions{true, false}}}) {
-    auto oracle_off = RunUnoptimized(f->plan(), f->dfs(), exec);
-    ASSERT_TRUE(oracle_off.ok()) << oracle_off.status();
-    for (const auto& [id, rows] : oracle->outputs) {
-      ASSERT_EQ(oracle_off->outputs.count(id), 1u) << id;
-      EXPECT_TRUE(RowsBitIdentical(rows, oracle_off->outputs.at(id)))
-          << label << " oracle output " << id << " differs";
-    }
-    EXPECT_TRUE(SameCostBits(oracle->makespan, oracle_off->makespan))
-        << label << ": " << oracle->makespan << " vs "
-        << oracle_off->makespan;
-    EXPECT_EQ(oracle->dataflow, oracle_off->dataflow) << label;
+  // executor off must reproduce raw outputs, makespan bits, and the
+  // per-job dataflow accounting exactly.
+  auto oracle_off = RunUnoptimized(f->plan(), f->dfs(), ExecOptions{false});
+  ASSERT_TRUE(oracle_off.ok()) << oracle_off.status();
+  for (const auto& [id, rows] : oracle->outputs) {
+    ASSERT_EQ(oracle_off->outputs.count(id), 1u) << id;
+    EXPECT_TRUE(RowsBitIdentical(rows, oracle_off->outputs.at(id)))
+        << "batch-off oracle output " << id << " differs";
   }
+  EXPECT_TRUE(SameCostBits(oracle->makespan, oracle_off->makespan))
+      << oracle->makespan << " vs " << oracle_off->makespan;
+  EXPECT_EQ(oracle->dataflow, oracle_off->dataflow);
 
-  // Modes, per thread count: blind, batch-off, columnar-off, cold, warm1,
-  // warm2, posthoc, memo on/off, bloom off/on, reopt on, reopt
-  // mis-profiled.
+  // Modes, per thread count: blind, batch-off, cold, warm1, warm2,
+  // posthoc, memo on/off, bloom off/on, reopt on, reopt mis-profiled.
   std::map<int, std::vector<ModeResult>> by_threads;
   for (int threads : {1, 4}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
@@ -226,31 +216,6 @@ TEST_P(DifferentialEquivalence, EveryEmittedPlanMatchesTheOracle) {
     for (const auto& [id, rows] : blind->outputs) {
       EXPECT_TRUE(RowsBitIdentical(rows, batch_off->outputs.at(id)))
           << "batch-off raw output " << id << " differs";
-    }
-
-    // Columnar-off session: batches stay on but the storage boundary is
-    // row-major (the pre-columnar configuration). Same transparency
-    // contract as batch_off: plan, cost bits, simulated makespan, and raw
-    // (pre-sort) outputs match the default run bit-for-bit.
-    StubbyOptions columnar_off_opts = opts;
-    columnar_off_opts.columnar_storage = false;
-    ReuseSession columnar_off_session(nullptr);
-    auto columnar_off = columnar_off_session.Run(f->plan(), f->dfs(),
-                                                 columnar_off_opts, &pool);
-    ASSERT_TRUE(columnar_off.ok()) << columnar_off.status();
-    ExpectMatchesOracle(columnar_off->outputs, oracle->outputs,
-                       "columnar_off", floats);
-    EXPECT_EQ(PlanSignature(columnar_off->report.plan),
-              PlanSignature(blind->report.plan));
-    EXPECT_TRUE(SameCostBits(columnar_off->report.estimated_cost,
-                             blind->report.estimated_cost));
-    EXPECT_TRUE(
-        SameCostBits(columnar_off->simulated_cost, blind->simulated_cost))
-        << columnar_off->simulated_cost << " vs " << blind->simulated_cost;
-    ASSERT_EQ(columnar_off->outputs.size(), blind->outputs.size());
-    for (const auto& [id, rows] : blind->outputs) {
-      EXPECT_TRUE(RowsBitIdentical(rows, columnar_off->outputs.at(id)))
-          << "columnar-off raw output " << id << " differs";
     }
 
     // Cold store: the aware search probes but every probe misses — the
@@ -408,7 +373,6 @@ TEST_P(DifferentialEquivalence, EveryEmittedPlanMatchesTheOracle) {
                         floats);
 
     by_threads[threads] = {Capture(*blind),     Capture(*batch_off),
-                           Capture(*columnar_off),
                            Capture(*cold),      Capture(*warm1),
                            Capture(*warm2),     Capture(*posthoc),
                            Capture(*memo_on),   Capture(*memo_off),
@@ -421,11 +385,10 @@ TEST_P(DifferentialEquivalence, EveryEmittedPlanMatchesTheOracle) {
   const std::vector<ModeResult>& t1 = by_threads.at(1);
   const std::vector<ModeResult>& t4 = by_threads.at(4);
   ASSERT_EQ(t1.size(), t4.size());
-  static const char* kModes[] = {"blind",     "batch_off", "columnar_off",
-                                 "cold",      "warm1",     "warm2",
-                                 "posthoc",   "memo_on",   "memo_off",
-                                 "bloom_off", "bloom_on",  "reopt_on",
-                                 "reopt_misprofiled"};
+  static const char* kModes[] = {"blind",    "batch_off", "cold",
+                                 "warm1",    "warm2",     "posthoc",
+                                 "memo_on",  "memo_off",  "bloom_off",
+                                 "bloom_on", "reopt_on",  "reopt_misprofiled"};
   for (size_t i = 0; i < t1.size(); ++i) {
     SCOPED_TRACE(kModes[i]);
     EXPECT_EQ(t1[i].plan_signature, t4[i].plan_signature);

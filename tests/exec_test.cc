@@ -10,6 +10,7 @@
 
 #include "common/threading.h"
 #include "exec/job_runner.h"
+#include "exec/wrappers.h"
 #include "reuse/result_store.h"
 #include "test_workflows.h"
 #include "workloads/registry.h"
@@ -284,11 +285,28 @@ Result<ExecObservables> RunWorkload(const Workload& w, ThreadPool* pool,
   return obs;
 }
 
-/// The hard invariant behind StubbyOptions::vectorized_exec and
-/// ::columnar_storage: the default run, the batch-off run, and the
-/// columnar-off run are bit-identical in outputs (raw order, no canonical
-/// sort), per-job dataflow accounting, and makespan — at any thread count,
-/// across all eight Table 1 workloads.
+/// Asserts the batch-on run `on` and the batch-off run `off` agree bit for
+/// bit in outputs, per-job dataflow, and makespan.
+void ExpectSameObservables(const ExecObservables& on,
+                           const ExecObservables& off,
+                           const std::string& label) {
+  ASSERT_EQ(on.outputs.size(), off.outputs.size()) << label;
+  for (const auto& [id, rows] : on.outputs) {
+    ASSERT_EQ(off.outputs.count(id), 1u) << label << " " << id;
+    EXPECT_TRUE(RowsBitIdentical(rows, off.outputs.at(id)))
+        << label << " output " << id << " differs between batch on and off";
+  }
+  EXPECT_EQ(on.dataflow, off.dataflow) << label;
+  EXPECT_TRUE(SameDoubleBits(on.makespan, off.makespan))
+      << label << ": " << on.makespan << " vs " << off.makespan;
+}
+
+/// The hard invariant behind StubbyOptions::vectorized_exec: the default
+/// run and the batch-off run are bit-identical in outputs (raw order, no
+/// canonical sort), per-job dataflow accounting, and makespan — at any
+/// thread count, across all eight Table 1 workloads. Between them the
+/// workloads drive every batch-path branch, including batch map kernels
+/// feeding a reduce without a batch kernel (the shuffle's row buckets).
 TEST(VectorizedExecTest, IsBitIdenticalAcrossWorkloadsAndThreads) {
   for (const std::string& abbr : AllWorkloadAbbrs()) {
     WorkloadOptions wopts;
@@ -299,27 +317,66 @@ TEST(VectorizedExecTest, IsBitIdenticalAcrossWorkloadsAndThreads) {
       ThreadPool pool(threads);
       auto on = RunWorkload(*w, &pool, ExecOptions{});
       ASSERT_TRUE(on.ok()) << abbr << " t" << threads << ": " << on.status();
-      for (const auto& [label, exec] :
-           std::initializer_list<std::pair<const char*, ExecOptions>>{
-               {"batch-off", ExecOptions{false}},
-               {"columnar-off", ExecOptions{true, false}}}) {
-        auto off = RunWorkload(*w, &pool, exec);
-        ASSERT_TRUE(off.ok()) << abbr << " t" << threads << ": "
-                              << off.status();
-        ASSERT_EQ(on->outputs.size(), off->outputs.size()) << abbr;
-        for (const auto& [id, rows] : on->outputs) {
-          ASSERT_EQ(off->outputs.count(id), 1u) << abbr << " " << id;
-          EXPECT_TRUE(RowsBitIdentical(rows, off->outputs.at(id)))
-              << abbr << " t" << threads << " output " << id
-              << " differs between default and " << label;
-        }
-        EXPECT_EQ(on->dataflow, off->dataflow)
-            << abbr << " t" << threads << " " << label;
-        EXPECT_TRUE(SameDoubleBits(on->makespan, off->makespan))
-            << abbr << " t" << threads << " " << label << ": "
-            << on->makespan << " vs " << off->makespan;
-      }
+      auto off = RunWorkload(*w, &pool, ExecOptions{false});
+      ASSERT_TRUE(off.ok()) << abbr << " t" << threads << ": "
+                            << off.status();
+      ExpectSameObservables(*on, *off, abbr + " t" + std::to_string(threads));
     }
+  }
+}
+
+// A batch-eligible pipeline over partitions that cannot be exposed as
+// column views — one whose rows are all wider than the schema, one with
+// ragged rows — gathers the chunk's rows into a batch instead. That run
+// must still match the batch-off run bit for bit.
+TEST(JobRunnerTest, BatchPipelineOverRowOnlyPartitionsMatchesRowPath) {
+  ClusterSpec cluster;
+  WorkflowFactory f(cluster);
+  Schema schema({"K", "Z", "V"});
+  std::vector<Row> rows;
+  for (int i = 0; i < 600; ++i) {
+    std::vector<Value> values = {Value(int64_t{i % 7}), Value(int64_t{i % 5}),
+                                 Value(0.5 * i)};
+    // Rows [0, 200) carry an unnamed trailing field, rows [200, 400) do
+    // every other row, rows [400, 600) match the schema.
+    if (i < 200 || (i < 400 && i % 2 == 0)) values.push_back(Value(1.0));
+    rows.emplace_back(std::move(values));
+  }
+  ASSERT_TRUE(f.AddBase("IN", schema, Layout{}, 3, std::move(rows),
+                        testing::kGB)
+                  .ok());
+  Schema out({"K", "S"});
+  ASSERT_TRUE(f.AddDataset("OUT", out, /*workflow_output=*/true).ok());
+  Schema kv({"K", "V"});
+  WorkflowFactory::JobDef j;
+  j.id = "J";
+  j.inputs = {In("IN", {Stage::Map(ProjectMap("kv", schema, {"K", "V"}))})};
+  j.map_output_schema = kv;
+  j.reduce_stages = {Stage::Reduce(
+      AggReduce("sum_k", kv, {"K"}, {{"V", AggOp::kSum, "S"}}), {"K"})};
+  j.output = "OUT";
+  ASSERT_TRUE(f.AddJob(std::move(j)).ok());
+
+  auto in = f.dfs().Get("IN");
+  ASSERT_TRUE(in.ok());
+  ASSERT_EQ((*in)->num_partitions(), 3u);
+  EXPECT_EQ((*in)->partition_data(0).num_columns(), 4u);  // too wide
+  EXPECT_FALSE((*in)->partition_data(1).columnar());      // ragged
+  EXPECT_EQ((*in)->partition_data(2).num_columns(), 3u);  // column view
+  EXPECT_TRUE(BatchPipelineRunner::Eligible(
+      (*f.plan().GetJob("J"))->branches[0].inputs[0].map_stages));
+
+  Workload w;
+  w.plan = f.plan();
+  w.dfs = f.dfs();
+  for (int threads : {1, 4}) {
+    ThreadPool pool(threads);
+    auto on = RunWorkload(w, &pool, ExecOptions{});
+    ASSERT_TRUE(on.ok()) << on.status();
+    auto off = RunWorkload(w, &pool, ExecOptions{false});
+    ASSERT_TRUE(off.ok()) << off.status();
+    ASSERT_EQ(on->outputs.at("OUT").size(), 7u);
+    ExpectSameObservables(*on, *off, "t" + std::to_string(threads));
   }
 }
 

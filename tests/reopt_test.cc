@@ -1,6 +1,5 @@
-// Adaptive suffix re-optimization (optimizer/reoptimize.h +
-// exec/adaptive_runner.h): the no-op contract under accurate profiles, the
-// suffix-only splice under injected mis-profiles (the executed prefix never
+// Adaptive suffix re-optimization (exec/adaptive_runner.h): the STUBBY_REOPT
+// env knob, the no-op contract under accurate profiles, the suffix-only splice under injected mis-profiles (the executed prefix never
 // re-runs), thread-count invariance of the whole adaptive loop, the
 // profile-perturbation injector's determinism, and the stubbyd `reoptimize`
 // knob (daemon trace == sequential session loop).
@@ -15,10 +14,10 @@
 #include <string>
 #include <vector>
 
+#include "common/env.h"
 #include "common/threading.h"
 #include "exec/adaptive_runner.h"
 #include "exec/workflow_runner.h"
-#include "optimizer/reoptimize.h"
 #include "optimizer/stubby.h"
 #include "profiler/perturb.h"
 #include "reuse/result_store.h"
@@ -96,12 +95,12 @@ TEST(PerturbTest, DeterministicAndDataPreserving) {
 
 TEST(ReoptimizeFromEnvTest, ParsesStubbyReopt) {
   unsetenv("STUBBY_REOPT");
-  EXPECT_FALSE(ReoptimizeFromEnv());
-  EXPECT_TRUE(ReoptimizeFromEnv(/*fallback=*/true));
+  EXPECT_FALSE(EnvFlag("STUBBY_REOPT"));
+  EXPECT_TRUE(EnvFlag("STUBBY_REOPT", /*fallback=*/true));
   setenv("STUBBY_REOPT", "0", 1);
-  EXPECT_FALSE(ReoptimizeFromEnv(/*fallback=*/true));
+  EXPECT_FALSE(EnvFlag("STUBBY_REOPT", /*fallback=*/true));
   setenv("STUBBY_REOPT", "1", 1);
-  EXPECT_TRUE(ReoptimizeFromEnv());
+  EXPECT_TRUE(EnvFlag("STUBBY_REOPT"));
   unsetenv("STUBBY_REOPT");
 }
 

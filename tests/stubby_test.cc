@@ -264,17 +264,6 @@ TEST_F(ThreadCountInvariance, ExecutionIsBitIdentical) {
         << "vectorized off, threads=" << threads;
     EXPECT_EQ(row_flow->makespan_sec, ref_makespan)
         << "vectorized off, threads=" << threads;
-
-    // So does the columnar-storage switch: batches on, row-major storage.
-    WorkflowRunner col_off_runner(w->plan.cluster(), &pool,
-                                  ExecOptions{true, false});
-    Dfs col_off_dfs = w->dfs;
-    auto col_off_flow = col_off_runner.Run(w->plan, &col_off_dfs);
-    ASSERT_TRUE(col_off_flow.ok()) << col_off_flow.status();
-    EXPECT_EQ(OutputDigest(w->plan, col_off_dfs), ref_digest)
-        << "columnar off, threads=" << threads;
-    EXPECT_EQ(col_off_flow->makespan_sec, ref_makespan)
-        << "columnar off, threads=" << threads;
   }
 }
 

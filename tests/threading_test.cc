@@ -214,6 +214,20 @@ TEST(ThreadPoolTest, StatsCountBatchesTasksAndChunks) {
   EXPECT_EQ(s.tasks, 0u);
 }
 
+// stats() right after ParallelFor returns must already count every task:
+// workers record their counters before the completion count that releases
+// the caller, so no read can land between the two. More workers than cores
+// get workers descheduled inside that window often enough that a pool
+// recording its counters late fails within a few hundred rounds.
+TEST(ThreadPoolTest, StatsCountEveryTaskAsSoonAsParallelForReturns) {
+  ThreadPool pool(16);
+  constexpr size_t kN = 64;
+  for (uint64_t round = 1; round <= 2000; ++round) {
+    pool.ParallelFor(kN, [](size_t) {});
+    ASSERT_EQ(pool.stats().tasks, round * kN) << "round " << round;
+  }
+}
+
 TEST(ThreadPoolTest, StealingOffNeverSteals) {
   ThreadPool::Options opts;
   opts.work_stealing = false;
