@@ -17,7 +17,9 @@
 // suffix against reality. recovery = (mis - adaptive) / (mis - clean);
 // a workload whose mis-profiled plan shows no regression counts as
 // recovered. Exit code gates "recovery >= --min-recovery on >= --min-pass
-// of the 8 workloads" for CI.
+// of the 8 workloads" for CI. Recovery over only the workloads that did
+// regress is reported next to the gate (regressing_recovered of
+// regressing_count), never instead of it.
 //
 // Flags: --rows N          physical sample rows (default 4000)
 //        --threads N       worker threads (results identical at any count)
@@ -234,6 +236,10 @@ int main(int argc, char** argv) {
               "Misprofiled", "Adaptive", "Reopts", "Regress", "Recovery");
   Json recovery_rows = Json::Array();
   int recovered_count = 0;
+  // The gate counts unregressed workloads as recovered; these two count
+  // only the workloads the mis-profile actually hurt.
+  int regressing_count = 0;
+  int regressing_recovered = 0;
   const std::vector<std::string> abbrs = AllWorkloadAbbrs();
   for (const std::string& abbr : abbrs) {
     auto pw = Prepare(abbr, rows);
@@ -280,6 +286,8 @@ int main(int argc, char** argv) {
         has_regression ? (*mis_sec - adaptive_sec) / regression : 1.0;
     const bool recovered = !has_regression || recovery >= min_recovery;
     recovered_count += recovered ? 1 : 0;
+    regressing_count += has_regression ? 1 : 0;
+    regressing_recovered += has_regression && recovered ? 1 : 0;
 
     std::printf("%-10s %9.1fs %11.1fs %9.1fs %7zu %8.1f%% %8.1f%%%s\n",
                 abbr.c_str(), *clean_sec, *mis_sec, adaptive_sec,
@@ -293,6 +301,7 @@ int main(int argc, char** argv) {
     row["misprofiled_sec"] = *mis_sec;
     row["adaptive_sec"] = adaptive_sec;
     row["regression_pct"] = 100.0 * regression / *clean_sec;
+    row["regressed"] = has_regression;
     row["recovery"] = recovery;
     row["recovered"] = recovered;
     row["reoptimizations"] = adaptive_run->stats.reoptimizations;
@@ -306,11 +315,16 @@ int main(int argc, char** argv) {
               "workloads (gate: %d) -> %s\n", 100.0 * min_recovery,
               recovered_count, abbrs.size(), min_pass,
               pass ? "PASS" : "FAIL");
+  std::printf("of the %d workloads that regressed, %d recovered >= %.0f%%\n",
+              regressing_count, regressing_recovered, 100.0 * min_recovery);
 
   Json recovery = Json::Object();
   recovery["min_recovery"] = min_recovery;
   recovery["min_pass"] = static_cast<uint64_t>(min_pass);
   recovery["recovered_count"] = static_cast<uint64_t>(recovered_count);
+  recovery["regressing_count"] = static_cast<uint64_t>(regressing_count);
+  recovery["regressing_recovered"] =
+      static_cast<uint64_t>(regressing_recovered);
   recovery["pass"] = pass;
   recovery["workloads"] = std::move(recovery_rows);
   doc["recovery"] = std::move(recovery);

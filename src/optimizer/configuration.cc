@@ -15,15 +15,17 @@ Status ApplyConfiguration(Plan* plan, const std::string& job_id,
       job->branches.begin(), job->branches.end(),
       [](const Branch& b) { return b.combiner != nullptr; });
   if (!has_combiner) c.use_combiner = false;
-  // Output compression flows into the produced datasets' planned layouts.
-  if (c.compress_output != job->config.compress_output) {
-    for (const Branch& b : job->branches) {
-      auto dv = plan->GetMutableDataset(b.output_dataset);
-      if (dv.ok()) {
-        (*dv)->layout.compressed = c.compress_output;
-        if ((*dv)->annotation.layout) {
-          (*dv)->annotation.layout->compressed = c.compress_output;
-        }
+  // Output compression flows into the produced datasets' planned layouts,
+  // even when the flag does not change: a packed job can carry a
+  // configuration its outputs' layouts do not reflect yet, and the
+  // configuration alone must determine them (the executor derives them from
+  // it, and the RRS loop reuses one scratch plan across points).
+  for (const Branch& b : job->branches) {
+    auto dv = plan->GetMutableDataset(b.output_dataset);
+    if (dv.ok()) {
+      (*dv)->layout.compressed = c.compress_output;
+      if ((*dv)->annotation.layout) {
+        (*dv)->annotation.layout->compressed = c.compress_output;
       }
     }
   }

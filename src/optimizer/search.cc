@@ -6,7 +6,6 @@
 #include <limits>
 #include <set>
 
-#include "common/logging.h"
 #include "common/strings.h"
 #include "common/threading.h"
 #include "cost/cost_cache.h"
@@ -171,7 +170,7 @@ Result<std::vector<SubplanCandidate>> UnitOptimizer::EnumerateSubplans(
     }
     if (shared_stats != nullptr) engine.set_instrumentation(&deltas[i]);
     configured[i] = OptimizeConfigurations(
-        &engine, subplans[i].plan, scopes[i],
+        &engine, std::move(subplans[i].plan), scopes[i],
         probe_cache != nullptr ? &content_digests[i] : nullptr);
     if (!configured[i].ok() || !reuse_.active()) return;
 
@@ -199,7 +198,8 @@ Result<std::vector<SubplanCandidate>> UnitOptimizer::EnumerateSubplans(
     // Re-tune the surviving jobs on the rewritten landscape (cheap: an
     // all-elided scope has no configuration space left) and keep the
     // rewritten form only when it strictly beats recomputing.
-    auto repriced = OptimizeConfigurations(&engine, probe->plan, scopes[i]);
+    auto repriced = OptimizeConfigurations(&engine, std::move(probe->plan),
+                                           scopes[i]);
     if (!repriced.ok()) {
       configured[i] = repriced.status();
       return;
@@ -258,7 +258,7 @@ Result<std::vector<SubplanCandidate>> UnitOptimizer::EnumerateSubplans(
 }
 
 Result<UnitOptimizer::ConfiguredPlan> UnitOptimizer::OptimizeConfigurations(
-    const WhatIfEngine* engine, const Plan& plan,
+    const WhatIfEngine* engine, Plan plan,
     const std::vector<std::string>& unit_jobs,
     std::map<std::string, CostDigest>* content_digests) const {
   CostEstimate base = engine->Cost(plan);
@@ -266,7 +266,7 @@ Result<UnitOptimizer::ConfiguredPlan> UnitOptimizer::OptimizeConfigurations(
     // Without profiles the configuration subspace cannot be costed; the
     // search degrades gracefully to the job-count model (Section 5).
     if (content_digests != nullptr) *content_digests = JobContentDigests(plan);
-    return ConfiguredPlan{plan, base.cost, base.fallback};
+    return ConfiguredPlan{std::move(plan), base.cost, base.fallback};
   }
 
   // Joint configuration space of the unit's (surviving) jobs.
@@ -287,7 +287,7 @@ Result<UnitOptimizer::ConfiguredPlan> UnitOptimizer::OptimizeConfigurations(
   }
   if (dims == 0) {
     if (content_digests != nullptr) *content_digests = JobContentDigests(plan);
-    return ConfiguredPlan{plan, base.cost, base.fallback};
+    return ConfiguredPlan{std::move(plan), base.cost, base.fallback};
   }
 
   auto apply_point_to = [&](Plan* candidate,
@@ -319,27 +319,35 @@ Result<UnitOptimizer::ConfiguredPlan> UnitOptimizer::OptimizeConfigurations(
     }
   }
 
-  // Batch evaluator for the RRS rounds. Points are split into fixed-size
-  // blocks — the block size is a constant, never derived from the thread
-  // count, because block boundaries decide which memo entries each point
-  // can see and therefore shape the instrumentation counters. Each block
-  // is an independent task with its own scratch plan, digest map, overlay
-  // over the engine's store, and instrumentation delta; blocks merge
-  // serially in block order. RRS points differ only in the unit jobs'
-  // configurations, and ApplyConfiguration overwrites those
-  // deterministically (uncontrolled fields pass through PointToConfig
-  // unchanged), so a per-block scratch copy evaluates each point exactly
-  // as a per-point fresh copy would.
+  // Every RRS point of this search is evaluated on one scratch plan and one
+  // digest map, copied once here. Points differ only in the unit jobs'
+  // configurations, and ApplyConfiguration overwrites every controlled
+  // field of those jobs, the produced datasets' `compressed` flags included
+  // (uncontrolled fields pass through PointToConfig unchanged), while the
+  // per-point digest refresh rewrites every unit-job entry. So the scratch
+  // evaluates each point exactly as a fresh copy of `plan` would, whatever
+  // point it held before.
+  //
+  // Points are split into fixed-size blocks, evaluated in order. The block
+  // size is a constant, never derived from the thread count, because block
+  // boundaries decide which memo entries each point can see and therefore
+  // shape the instrumentation counters: each block costs through its own
+  // overlay over the engine's store and its own instrumentation delta, and
+  // the blocks of a batch merge in block order after the whole batch.
+  // Blocks are not tasks: this search already runs inside one candidate
+  // task, and candidates are the parallel grain.
   constexpr size_t kBlock = 4;
   CostStore* parent_cache = engine->cache();
   CostInstrumentation* parent_stats = engine->instrumentation();
+  Plan scratch = plan;
+  std::map<std::string, CostDigest> scratch_digests = digests;
   auto batch_eval =
       [&](const std::vector<std::vector<double>>& points) -> std::vector<double> {
     const size_t blocks = (points.size() + kBlock - 1) / kBlock;
     std::vector<std::unique_ptr<CostCacheOverlay>> overlays(blocks);
     std::vector<CostInstrumentation> deltas(blocks);
     std::vector<double> values(points.size());
-    RunTasks(pool_, blocks, [&](size_t b) {
+    for (size_t b = 0; b < blocks; ++b) {
       WhatIfEngine block_engine(engine->model().cluster());
       if (parent_cache != nullptr) {
         overlays[b] = std::make_unique<CostCacheOverlay>(parent_cache);
@@ -348,8 +356,6 @@ Result<UnitOptimizer::ConfiguredPlan> UnitOptimizer::OptimizeConfigurations(
       if (parent_stats != nullptr) {
         block_engine.set_instrumentation(&deltas[b]);
       }
-      Plan scratch = plan;
-      std::map<std::string, CostDigest> block_digests = digests;
       const size_t begin = b * kBlock;
       const size_t end = std::min(points.size(), begin + kBlock);
       for (size_t p = begin; p < end; ++p) {
@@ -367,11 +373,11 @@ Result<UnitOptimizer::ConfiguredPlan> UnitOptimizer::OptimizeConfigurations(
           if (!jr.ok()) continue;
           CostDigest jd = structure[i];
           MixJobConfiguration(&jd, **jr);
-          block_digests[spaces[i].id] = jd;
+          scratch_digests[spaces[i].id] = jd;
         }
-        values[p] = block_engine.CostWithDigests(scratch, block_digests).cost;
+        values[p] = block_engine.CostWithDigests(scratch, scratch_digests).cost;
       }
-    });
+    }
     for (size_t b = 0; b < blocks; ++b) {
       if (parent_cache != nullptr) overlays[b]->MergeInto(parent_cache);
       if (parent_stats != nullptr) parent_stats->Add(deltas[b]);
@@ -399,17 +405,18 @@ Result<UnitOptimizer::ConfiguredPlan> UnitOptimizer::OptimizeConfigurations(
       *content_digests = incremental_digests ? std::move(digests)
                                              : JobContentDigests(plan);
     }
-    return ConfiguredPlan{plan, base.cost, base.fallback};
+    return ConfiguredPlan{std::move(plan), base.cost, base.fallback};
   }
-  Plan best_plan = plan;
-  STUBBY_RETURN_NOT_OK(apply_point_to(&best_plan, best_point));
+  // The scratch evaluates any point as a fresh copy would, so the winner is
+  // built in place on it.
+  STUBBY_RETURN_NOT_OK(apply_point_to(&scratch, best_point));
   if (content_digests != nullptr) {
     // The winning point only reconfigured the unit jobs: refresh those
     // entries' configuration suffix (exactly what the block evaluator does
     // per point) and hand the rest of the base-plan digests through.
     if (!incremental_digests) digests = JobContentDigests(plan);
     for (size_t i = 0; i < spaces.size(); ++i) {
-      auto jr = best_plan.GetJob(spaces[i].id);
+      auto jr = scratch.GetJob(spaces[i].id);
       if (!jr.ok()) continue;
       CostDigest jd = incremental_digests ? structure[i]
                                           : JobStructureDigest(**jr);
@@ -420,7 +427,7 @@ Result<UnitOptimizer::ConfiguredPlan> UnitOptimizer::OptimizeConfigurations(
   }
   // base was costable (no fallback), and configuration changes never remove
   // the annotations that made it so.
-  return ConfiguredPlan{std::move(best_plan), best_value, false};
+  return ConfiguredPlan{std::move(scratch), best_value, false};
 }
 
 Result<UnitResult> UnitOptimizer::Optimize(const Plan& plan,

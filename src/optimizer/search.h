@@ -144,15 +144,16 @@ class UnitOptimizer {
   };
 
   /// RRS over the configurations of the unit's jobs in `plan`; returns the
-  /// plan with the best configurations applied, its cost, and whether that
-  /// cost came from the fallback model. `engine` is the candidate-private
+  /// plan with the best configurations applied (`plan` itself, moved, when
+  /// no point beats it), its cost, and whether that cost came from the
+  /// fallback model. `engine` is the candidate-private
   /// engine to cost through (its cache/instrumentation may themselves be a
   /// task overlay and delta). `content_digests` (optional out) receives
   /// JobContentDigest for every job of the *returned* plan — the digests
   /// the costing pass already holds, handed to the reuse probe so its memo
   /// keys need no second content walk.
   Result<ConfiguredPlan> OptimizeConfigurations(
-      const WhatIfEngine* engine, const Plan& plan,
+      const WhatIfEngine* engine, Plan plan,
       const std::vector<std::string>& unit_jobs,
       std::map<std::string, CostDigest>* content_digests = nullptr) const;
 

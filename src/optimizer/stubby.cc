@@ -5,7 +5,6 @@
 #include <set>
 
 #include "common/clock.h"
-#include "common/logging.h"
 #include "common/threading.h"
 #include "optimizer/bloom.h"
 #include "optimizer/horizontal.h"

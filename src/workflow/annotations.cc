@@ -55,11 +55,27 @@ double KeyHistogram::FractionInRange(double lo, double hi) const {
   if (max == min) {
     return std::clamp(point_mass + bucket_fractions[0], 0.0, 1.0);
   }
-  const double width =
-      (max - min) / static_cast<double>(bucket_fractions.size());
+  const size_t n = bucket_fractions.size();
+  const double width = (max - min) / static_cast<double>(n);
+  auto bucket_lo = [&](size_t i) {
+    return min + width * static_cast<double>(i);
+  };
+  auto to_index = [n](double x) {
+    if (!(x > 0)) return size_t{0};
+    return x < static_cast<double>(n) ? static_cast<size_t>(x) : n;
+  };
+  // Bucket edges never decrease with i, so the buckets that can overlap
+  // [lo, hi) lie in one index window [first, end). Seed it by division, then
+  // widen it on the same edge expressions the sum uses until every bucket
+  // left out has b_hi <= lo or b_lo >= hi: their overlap is never positive,
+  // so the sum adds exactly the terms of a full scan in the same order.
+  size_t first = to_index(std::floor((lo - min) / width));
+  while (first > 0 && bucket_lo(first - 1) + width > lo) --first;
+  size_t end = std::max(first, to_index(std::ceil((hi - min) / width)));
+  while (end < n && bucket_lo(end) < hi) ++end;
   double total = point_mass;
-  for (size_t i = 0; i < bucket_fractions.size(); ++i) {
-    double b_lo = min + width * static_cast<double>(i);
+  for (size_t i = first; i < end; ++i) {
+    double b_lo = bucket_lo(i);
     double b_hi = b_lo + width;
     double overlap = std::min(hi, b_hi) - std::max(lo, b_lo);
     if (overlap > 0) total += bucket_fractions[i] * (overlap / width);

@@ -3,8 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
+#include "common/rng.h"
+#include "cost/cost_cache.h"
+#include "cost/whatif.h"
 #include "optimizer/configuration.h"
+#include "profiler/profiler.h"
 #include "test_workflows.h"
+#include "workloads/registry.h"
 
 namespace stubby {
 namespace {
@@ -52,6 +59,96 @@ TEST(ApplyConfigurationTest, UnknownJobFails) {
   ASSERT_TRUE(f.ok());
   Plan plan = f->plan();
   EXPECT_FALSE(ApplyConfiguration(&plan, "nope", JobConfig{}).ok());
+}
+
+// The configuration search evaluates every RRS point on one scratch plan,
+// relying on ApplyConfiguration to overwrite everything a point controls.
+// Applying a sequence of points to one plan must therefore leave it exactly
+// as applying the last point to a fresh copy does: same structure, job
+// configurations, dataset layouts, and what-if cost bits. Every other job
+// starts with its compress_output flag out of step with its outputs'
+// layouts, the state a packed job inherits from the job it absorbed.
+TEST(ApplyConfigurationTest, ReusedScratchMatchesFreshCopy) {
+  constexpr int kPoints = 60;
+  for (const std::string& abbr : AllWorkloadAbbrs()) {
+    SCOPED_TRACE(abbr);
+    WorkloadOptions options;
+    options.sample_rows = 1500;
+    auto w = MakeWorkload(abbr, options);
+    ASSERT_TRUE(w.ok()) << w.status();
+    Dfs dfs = w->dfs;
+    ASSERT_TRUE(Profiler(options.cluster).ProfilePlan(&w->plan, &dfs).ok());
+    std::vector<std::string> ids;
+    for (const auto& entry : w->plan.jobs()) ids.push_back(entry.first);
+    for (size_t j = 1; j < ids.size(); j += 2) {
+      JobConfig& config = (*w->plan.GetMutableJob(ids[j]))->config;
+      config.compress_output = !config.compress_output;
+    }
+    const Plan& base = w->plan;
+    WhatIfEngine engine(base.cluster());
+    ASSERT_FALSE(engine.Cost(base).fallback);
+
+    std::vector<std::pair<std::string, ConfigSpace>> spaces;
+    for (const auto& [id, job] : base.jobs()) {
+      ConfigSpace space = SpaceForJob(job, base.cluster());
+      if (space.size() > 0) spaces.emplace_back(id, std::move(space));
+    }
+    ASSERT_FALSE(spaces.empty());
+    auto apply = [&](Plan* plan, const std::vector<std::vector<double>>& pt) {
+      for (size_t j = 0; j < spaces.size(); ++j) {
+        const auto& [id, space] = spaces[j];
+        JobConfig c = space.PointToConfig(pt[j], (*plan->GetJob(id))->config);
+        ASSERT_TRUE(ApplyConfiguration(plan, id, c).ok());
+      }
+    };
+
+    Rng rng(97);
+    Plan scratch = base;
+    int compress_flips = 0;
+    bool last_compress = base.jobs().begin()->second.config.compress_output;
+    for (int p = 0; p < kPoints; ++p) {
+      // Coordinates hit the cube's faces a quarter of the time, so boolean
+      // knobs such as compress_output flip often in both directions.
+      std::vector<std::vector<double>> point;
+      for (const auto& entry : spaces) {
+        std::vector<double> slice(entry.second.size());
+        for (double& u : slice) {
+          u = rng.NextUint64(4) == 0 ? double(rng.NextUint64(2))
+                                     : rng.NextDouble();
+        }
+        point.push_back(std::move(slice));
+      }
+      apply(&scratch, point);
+      Plan fresh = base;
+      apply(&fresh, point);
+
+      const bool compress =
+          scratch.jobs().begin()->second.config.compress_output;
+      if (compress != last_compress) ++compress_flips;
+      last_compress = compress;
+      ASSERT_EQ(PlanSignature(scratch), PlanSignature(fresh)) << p;
+      for (const auto& [id, job] : fresh.jobs()) {
+        EXPECT_TRUE((*scratch.GetJob(id))->config == job.config) << id;
+        EXPECT_EQ(JobContentDigest(**scratch.GetJob(id)).value(),
+                  JobContentDigest(job).value())
+            << id;
+      }
+      for (const auto& [id, ds] : fresh.datasets()) {
+        const DatasetVertex& got = **scratch.GetDataset(id);
+        EXPECT_TRUE(got.layout == ds.layout) << id;
+        EXPECT_EQ(got.annotation.layout.has_value(),
+                  ds.annotation.layout.has_value())
+            << id;
+        if (got.annotation.layout && ds.annotation.layout) {
+          EXPECT_TRUE(*got.annotation.layout == *ds.annotation.layout) << id;
+        }
+      }
+      EXPECT_EQ(std::bit_cast<uint64_t>(engine.Cost(scratch).cost),
+                std::bit_cast<uint64_t>(engine.Cost(fresh).cost))
+          << p;
+    }
+    EXPECT_GT(compress_flips, 5);
+  }
 }
 
 TEST(SpaceForJobTest, PinnedReduceCountDropsTheDimension) {

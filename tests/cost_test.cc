@@ -3,6 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
+
+#include "common/rng.h"
 #include "cost/adjust.h"
 #include "cost/cost_cache.h"
 #include "cost/phase_model.h"
@@ -279,6 +285,97 @@ TEST(WhatIfTest, KeyHistogramRangeAndQuantile) {
   h.heavy_hitters = {{10.0, 0.4}};
   EXPECT_NEAR(h.FractionInRange(9, 11), 0.4 + 0.6 * 0.02, 0.01);
   EXPECT_LE(h.Quantile(0.4), 10.5);
+}
+
+// The full-bucket scan FractionInRange used before it learned to visit only
+// the overlapping index window; kept verbatim as the bit-level reference.
+double FullScanFractionInRange(const KeyHistogram& h, double lo, double hi) {
+  if (h.bucket_fractions.empty() || h.max < h.min) return 1.0;
+  double point_mass = 0.0;
+  for (const auto& [value, fraction] : h.heavy_hitters) {
+    if (value >= lo && value < hi) point_mass += fraction;
+  }
+  lo = std::max(lo, h.min);
+  hi = std::min(hi, h.max + 1e-12);
+  if (hi <= lo) return std::clamp(point_mass, 0.0, 1.0);
+  if (h.max == h.min) {
+    return std::clamp(point_mass + h.bucket_fractions[0], 0.0, 1.0);
+  }
+  const double width =
+      (h.max - h.min) / static_cast<double>(h.bucket_fractions.size());
+  double total = point_mass;
+  for (size_t i = 0; i < h.bucket_fractions.size(); ++i) {
+    double b_lo = h.min + width * static_cast<double>(i);
+    double b_hi = b_lo + width;
+    double overlap = std::min(hi, b_hi) - std::max(lo, b_lo);
+    if (overlap > 0) total += h.bucket_fractions[i] * (overlap / width);
+  }
+  return std::clamp(total, 0.0, 1.0);
+}
+
+TEST(WhatIfTest, FractionInRangeWindowMatchesFullScan) {
+  Rng rng(2012);
+  const double kInf = std::numeric_limits<double>::infinity();
+  // Origins and widths span magnitudes, down to buckets narrower than one
+  // ulp of the origin, where edge arithmetic rounds the hardest.
+  const double kOrigins[] = {0.0, -1.0, 3.5, -7e3, 1e6, 1e15};
+  const double kWidths[] = {1.0, 1e-3, 0.37, 250.0, 1e-12, 1e-300, 1e9};
+  int checked = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    KeyHistogram h;
+    h.field = "k";
+    const size_t n = 1 + rng.NextUint64(trial % 5 == 0 ? 1 : 200);
+    h.min = kOrigins[rng.NextUint64(std::size(kOrigins))] *
+            (rng.NextUint64(2) == 0 ? 1.0 : rng.NextDouble(0.5, 2.0));
+    const double width = kWidths[rng.NextUint64(std::size(kWidths))] *
+                         rng.NextDouble(0.5, 2.0);
+    h.max = trial % 7 == 0 ? h.min : h.min + width * static_cast<double>(n);
+    for (size_t i = 0; i < n; ++i) h.bucket_fractions.push_back(rng.NextDouble());
+    const size_t hitters = rng.NextUint64(4);
+    for (size_t i = 0; i < hitters; ++i) {
+      h.heavy_hitters.emplace_back(h.min + rng.NextDouble(-0.1, 1.1) *
+                                               (h.max - h.min),
+                                   rng.NextDouble(0.0, 0.3));
+    }
+    const double span = h.max - h.min;
+    const double w = span / static_cast<double>(n);
+    auto pick = [&]() -> double {
+      switch (rng.NextUint64(6)) {
+        case 0:  // a bucket edge, computed exactly as the scan computes it
+          return h.min + w * static_cast<double>(rng.NextUint64(n + 1));
+        case 1:  // one of the edges' neighbours
+          return std::nextafter(
+              h.min + w * static_cast<double>(rng.NextUint64(n + 1)),
+              rng.NextUint64(2) == 0 ? -kInf : kInf);
+        case 2:  // outside [min, max]
+          return rng.NextUint64(2) == 0 ? h.min - rng.NextDouble(0.0, 1e3)
+                                        : h.max + rng.NextDouble(0.0, 1e3);
+        case 3:
+          return rng.NextUint64(2) == 0 ? -kInf : kInf;
+        case 4:  // a heavy hitter, when there is one
+          if (!h.heavy_hitters.empty()) {
+            return h.heavy_hitters[rng.NextUint64(h.heavy_hitters.size())]
+                .first;
+          }
+          [[fallthrough]];
+        default:
+          return h.min + rng.NextDouble(-0.2, 1.2) * span;
+      }
+    };
+    for (int q = 0; q < 50; ++q) {
+      double lo = pick();
+      double hi = rng.NextUint64(8) == 0 ? lo : pick();
+      if (rng.NextUint64(4) != 0 && hi < lo) std::swap(lo, hi);
+      const double want = FullScanFractionInRange(h, lo, hi);
+      const double got = h.FractionInRange(lo, hi);
+      ASSERT_EQ(std::memcmp(&want, &got, sizeof(double)), 0)
+          << "trial " << trial << " min=" << h.min << " max=" << h.max
+          << " n=" << n << " lo=" << lo << " hi=" << hi << " want=" << want
+          << " got=" << got;
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, 400 * 50);
 }
 
 TEST(CostCacheTest, JobDigestIsContentSensitive) {
