@@ -238,21 +238,6 @@ std::map<std::string, CostDigest> JobContentDigests(const Plan& plan) {
   return out;
 }
 
-CostKey PlanCostDigestFrom(
-    const Plan& plan, const std::map<std::string, CostDigest>& job_digests) {
-  CostDigest d;
-  d.Mix(static_cast<uint64_t>(plan.num_jobs()));
-  for (const auto& [jid, job] : plan.jobs()) {
-    auto it = job_digests.find(jid);
-    CostKey k = it != job_digests.end() ? it->second.value()
-                                        : JobContentDigest(job).value();
-    d.Mix(k.first);
-    d.Mix(k.second);
-  }
-  MixBaseDatasets(&d, plan);
-  return d.value();
-}
-
 void CostInstrumentation::Add(const CostInstrumentation& other) {
   whatif_invocations += other.whatif_invocations;
   plan_cache_hits += other.plan_cache_hits;

@@ -4,16 +4,18 @@
 //
 //   1. A whole-plan memo: CostEstimates keyed by a digest of everything the
 //      what-if engine reads from a plan (job structure, stage statistics,
-//      configurations, base dataset annotations). Repeated costing of the
-//      same plan — the base plan of every unit, re-evaluated RRS seed
-//      points, the final report costing — returns the stored estimate.
+//      configurations, base dataset annotations). It serves whole-plan
+//      WhatIfEngine::Cost calls only — the base plan of every subplan
+//      candidate, the final report costing, a service's repeated requests.
+//      RRS points (WhatIfEngine::CostPoint) bypass it.
 //
 //   2. A per-job incremental memo: PredictJob results (dataflow, task
 //      times, and the output-dataset size predictions) keyed by the job's
 //      content digest plus the digests of its input PredictedDatasets. An
 //      RRS point evaluation perturbs only the unit's job configurations,
 //      so every job outside the unit — and outside the unit's downstream
-//      cone — replays from the memo instead of being re-predicted.
+//      cone — replays from the memo instead of being re-predicted; a
+//      re-evaluated point replays entirely.
 //
 // Both layers are transparent: cached and uncached costing produce
 // bit-identical CostEstimates (entries store the exact structs that the
@@ -130,19 +132,14 @@ CostKey PlanCostDigest(const Plan& plan,
 /// computes this once and refreshes only the perturbed jobs' entries.
 std::map<std::string, CostDigest> JobContentDigests(const Plan& plan);
 
-/// PlanCostDigest assembled from precomputed per-job digests. The caller
-/// guarantees `job_digests` holds JobContentDigest(job) for every job of
-/// the plan; the result is identical to PlanCostDigest(plan).
-CostKey PlanCostDigestFrom(
-    const Plan& plan, const std::map<std::string, CostDigest>& job_digests);
-
 /// Counters describing what the costing layer did during one optimizer run
 /// (or any other instrumented sequence of what-if calls).
 struct CostInstrumentation {
-  /// WhatIfEngine::Cost invocations.
+  /// WhatIfEngine::Cost and CostPoint invocations.
   uint64_t whatif_invocations = 0;
-  /// Whole-plan memo hits / misses (misses only counted when a cache is
-  /// attached; without a cache every Cost call is a full computation).
+  /// Whole-plan memo hits / misses of WhatIfEngine::Cost calls (counted
+  /// only when a cache is attached; RRS points through CostPoint never
+  /// consult the whole-plan memo and count in neither).
   uint64_t plan_cache_hits = 0;
   uint64_t plan_cache_misses = 0;
   /// Dataflow prediction passes that predicted every job from scratch vs.

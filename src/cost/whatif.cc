@@ -461,14 +461,13 @@ Result<JobDataflow> WhatIfEngine::PredictJob(
 
 Result<WorkflowDataflow> WhatIfEngine::PredictDataflow(
     const Plan& plan) const {
-  return PredictDataflowImpl(plan, nullptr);
+  STUBBY_ASSIGN_OR_RETURN(PlanShape shape, Shape(plan));
+  return PredictDataflowImpl(plan, shape, nullptr);
 }
 
-Result<WorkflowDataflow> WhatIfEngine::PredictDataflowImpl(
-    const Plan& plan,
-    const std::map<std::string, CostDigest>* job_digests) const {
+Result<PlanShape> WhatIfEngine::Shape(const Plan& plan) const {
+  PlanShape shape;
   // Seed predictions from base dataset annotations.
-  std::map<std::string, PredictedDataset> predicted;
   for (const auto& [id, ds] : plan.datasets()) {
     if (!ds.is_base_input) continue;
     const DatasetAnnotation& a = ds.annotation;
@@ -491,13 +490,32 @@ Result<WorkflowDataflow> WhatIfEngine::PredictDataflowImpl(
                                         (layout->block_mb * kMB))));
     }
     p.max_partition_fraction = 1.0 / std::max(1, p.partitions);
-    predicted[id] = p;
+    shape.base_inputs[id] = p;
   }
 
   STUBBY_ASSIGN_OR_RETURN(std::vector<std::string> order,
                           plan.TopologicalOrder());
+  shape.jobs.reserve(order.size());
+  for (std::string& jid : order) {
+    STUBBY_ASSIGN_OR_RETURN(const JobVertex* job, plan.GetJob(jid));
+    PlanShape::Job entry;
+    entry.upstream = plan.UpstreamJobs(jid);
+    entry.inputs = job->InputDatasets();
+    entry.outputs = job->OutputDatasets();
+    entry.id = std::move(jid);
+    shape.jobs.push_back(std::move(entry));
+  }
+  return shape;
+}
+
+Result<WorkflowDataflow> WhatIfEngine::PredictDataflowImpl(
+    const Plan& plan, const PlanShape& shape,
+    const std::map<std::string, CostDigest>* job_digests) const {
+  std::map<std::string, PredictedDataset> predicted = shape.base_inputs;
   WorkflowDataflow flow;
+  flow.jobs.reserve(shape.jobs.size());
   std::vector<ScheduledJob> scheduled;
+  scheduled.reserve(shape.jobs.size());
   uint64_t replayed = 0;
   uint64_t predicted_fresh = 0;
   // Counts this pass as full (every job predicted from scratch) or
@@ -511,7 +529,8 @@ Result<WorkflowDataflow> WhatIfEngine::PredictDataflowImpl(
       ++stats_->incremental_predictions;
     }
   };
-  for (const auto& jid : order) {
+  for (const PlanShape::Job& js : shape.jobs) {
+    const std::string& jid = js.id;
     auto job_or = plan.GetJob(jid);
     if (!job_or.ok()) {
       count_pass();
@@ -534,7 +553,7 @@ Result<WorkflowDataflow> WhatIfEngine::PredictDataflowImpl(
         digest = JobContentDigest(*job);
       }
       bool inputs_known = true;
-      for (const std::string& in : job->InputDatasets()) {
+      for (const std::string& in : js.inputs) {
         auto it = predicted.find(in);
         if (it == predicted.end()) {
           // Missing input prediction: fall through to PredictJob, which
@@ -554,7 +573,7 @@ Result<WorkflowDataflow> WhatIfEngine::PredictDataflowImpl(
           for (const auto& [id, p] : entry->outputs) predicted[id] = p;
           ScheduledJob sj;
           sj.id = jid;
-          sj.deps = plan.UpstreamJobs(jid);
+          sj.deps = js.upstream;
           sj.times = entry->times;
           scheduled.push_back(std::move(sj));
           flow.jobs.push_back(entry->dataflow);
@@ -572,13 +591,13 @@ Result<WorkflowDataflow> WhatIfEngine::PredictDataflowImpl(
     if (stats_ != nullptr) ++stats_->job_predictions;
     ScheduledJob sj;
     sj.id = jid;
-    sj.deps = plan.UpstreamJobs(jid);
+    sj.deps = js.upstream;
     sj.times = model_.TaskTimes(*df_or, job->config);
     if (have_key) {
       CostCache::JobEntry entry;
       entry.dataflow = *df_or;
       entry.times = sj.times;
-      for (const std::string& out : job->OutputDatasets()) {
+      for (const std::string& out : js.outputs) {
         auto it = predicted.find(out);
         if (it != predicted.end()) entry.outputs.emplace_back(out, it->second);
       }
@@ -595,49 +614,56 @@ Result<WorkflowDataflow> WhatIfEngine::PredictDataflowImpl(
   return flow;
 }
 
-CostEstimate WhatIfEngine::Cost(const Plan& plan) const {
-  return CostImpl(plan, nullptr);
+namespace {
+
+/// The number-of-jobs cost model of YSmart [11], for plans the detailed
+/// prediction cannot cost.
+CostEstimate JobCountEstimate(const Plan& plan) {
+  CostEstimate est;
+  est.cost = static_cast<double>(plan.num_jobs());
+  est.fallback = true;
+  return est;
 }
 
-CostEstimate WhatIfEngine::CostWithDigests(
-    const Plan& plan,
-    const std::map<std::string, CostDigest>& job_digests) const {
-  return CostImpl(plan, &job_digests);
-}
+}  // namespace
 
-CostEstimate WhatIfEngine::CostImpl(
-    const Plan& plan,
+CostEstimate WhatIfEngine::Estimate(
+    const Plan& plan, const PlanShape& shape,
     const std::map<std::string, CostDigest>* job_digests) const {
+  auto flow = PredictDataflowImpl(plan, shape, job_digests);
+  if (!flow.ok()) return JobCountEstimate(plan);
+  CostEstimate est;
+  est.cost = flow->makespan_sec;
+  est.dataflow = std::move(*flow);
+  return est;
+}
+
+CostEstimate WhatIfEngine::Cost(const Plan& plan) const {
   if (stats_ != nullptr) ++stats_->whatif_invocations;
   CostKey key{};
-  std::map<std::string, CostDigest> local_digests;
+  std::map<std::string, CostDigest> job_digests;
   if (cache_ != nullptr) {
-    if (job_digests == nullptr) {
-      key = PlanCostDigest(plan, &local_digests);
-      job_digests = &local_digests;
-    } else {
-      key = PlanCostDigestFrom(plan, *job_digests);
-    }
+    key = PlanCostDigest(plan, &job_digests);
     if (const CostEstimate* hit = cache_->FindPlan(key)) {
       if (stats_ != nullptr) ++stats_->plan_cache_hits;
       return *hit;
     }
     if (stats_ != nullptr) ++stats_->plan_cache_misses;
   }
-  CostEstimate est;
-  auto flow = PredictDataflowImpl(
-      plan, cache_ != nullptr ? job_digests : nullptr);
-  if (flow.ok()) {
-    est.cost = flow->makespan_sec;
-    est.fallback = false;
-    est.dataflow = std::move(*flow);
-  } else {
-    // Fallback: the number-of-jobs cost model of YSmart [11].
-    est.cost = static_cast<double>(plan.num_jobs());
-    est.fallback = true;
-  }
+  auto shape = Shape(plan);
+  CostEstimate est =
+      shape.ok() ? Estimate(plan, *shape,
+                            cache_ != nullptr ? &job_digests : nullptr)
+                 : JobCountEstimate(plan);
   if (cache_ != nullptr) cache_->InsertPlan(key, est);
   return est;
+}
+
+CostEstimate WhatIfEngine::CostPoint(
+    const Plan& plan, const PlanShape& shape,
+    const std::map<std::string, CostDigest>* job_digests) const {
+  if (stats_ != nullptr) ++stats_->whatif_invocations;
+  return Estimate(plan, shape, cache_ != nullptr ? job_digests : nullptr);
 }
 
 bool WhatIfEngine::IsCostable(const Plan& plan) const {

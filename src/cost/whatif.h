@@ -12,6 +12,7 @@
 
 #include <map>
 #include <string>
+#include <vector>
 
 #include "common/result.h"
 #include "cost/dataflow.h"
@@ -45,6 +46,23 @@ struct CostEstimate {
   WorkflowDataflow dataflow;
 };
 
+/// The configuration-independent facts every dataflow prediction over a
+/// plan reads: the jobs in topological order with their upstream jobs and
+/// input/output datasets, and the base inputs' size predictions.
+/// ApplyConfiguration writes only job configurations and the compression
+/// flags of *produced* datasets, so one shape serves every configuration
+/// point of a search over the plan it was built from.
+struct PlanShape {
+  struct Job {
+    std::string id;
+    std::vector<std::string> upstream;  ///< Plan::UpstreamJobs
+    std::vector<std::string> inputs;    ///< JobVertex::InputDatasets
+    std::vector<std::string> outputs;   ///< JobVertex::OutputDatasets
+  };
+  std::vector<Job> jobs;  ///< topological order
+  std::map<std::string, PredictedDataset> base_inputs;
+};
+
 /// Cost estimator for plans.
 class WhatIfEngine {
  public:
@@ -60,14 +78,21 @@ class WhatIfEngine {
   /// detailed prediction is not possible.
   CostEstimate Cost(const Plan& plan) const;
 
-  /// Cost with caller-provided per-job content digests. The caller
-  /// guarantees each entry equals JobContentDigest(job) for that job in
-  /// `plan` — how the RRS loop avoids re-digesting jobs it did not touch.
-  /// Behaves exactly like Cost(plan) (and ignores the digests) when no
-  /// cache is attached.
-  CostEstimate CostWithDigests(
-      const Plan& plan,
-      const std::map<std::string, CostDigest>& job_digests) const;
+  /// The shape of `plan`. Fails like PredictDataflow when a base input has
+  /// no size annotation or the job graph has a cycle.
+  Result<PlanShape> Shape(const Plan& plan) const;
+
+  /// Costs one configuration point of a search: `plan` differs from the
+  /// plan `shape` was built from (by an engine over the same cluster) at
+  /// most in job configurations and the produced datasets' compression
+  /// flags that follow them. Equal to Cost(plan), but skips the
+  /// whole-plan memo: the per-job memo serves every job a point did not
+  /// reconfigure. With a cache attached, `job_digests` (optional) must map
+  /// every job of `plan` to its JobContentDigest — how the RRS loop avoids
+  /// re-digesting jobs it did not touch; without a cache it is ignored.
+  CostEstimate CostPoint(
+      const Plan& plan, const PlanShape& shape,
+      const std::map<std::string, CostDigest>* job_digests = nullptr) const;
 
   /// True if all annotations needed for detailed costing are present.
   bool IsCostable(const Plan& plan) const;
@@ -95,15 +120,17 @@ class WhatIfEngine {
       const Plan& plan, const JobVertex& job,
       std::map<std::string, PredictedDataset>* datasets) const;
 
-  /// PredictDataflow with optional precomputed per-job content digests
-  /// (avoids digesting every job twice when Cost already computed them for
-  /// the whole-plan memo key).
+  /// PredictDataflow over a prebuilt shape, with optional precomputed
+  /// per-job content digests (avoids digesting every job twice when Cost
+  /// already computed them for the whole-plan memo key).
   Result<WorkflowDataflow> PredictDataflowImpl(
-      const Plan& plan,
+      const Plan& plan, const PlanShape& shape,
       const std::map<std::string, CostDigest>* job_digests) const;
 
-  CostEstimate CostImpl(
-      const Plan& plan,
+  /// The detailed estimate over `shape`, or the job-count fallback when
+  /// the prediction fails. Touches no whole-plan memo.
+  CostEstimate Estimate(
+      const Plan& plan, const PlanShape& shape,
       const std::map<std::string, CostDigest>* job_digests) const;
 
   PhaseTimeModel model_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <limits>
 #include <set>
 
@@ -61,44 +60,60 @@ Result<std::vector<SubplanCandidate>> UnitOptimizer::EnumerateSubplans(
     const Plan& plan, const OptimizationUnit& unit,
     ReuseStats* search_totals) const {
   // Exhaustive BFS over sequences of structural transformations, with
-  // signature-based de-duplication.
-  std::vector<EnumState> subplans;
-  std::set<std::string> seen;
-  std::deque<EnumState> queue;
-  queue.push_back(EnumState{plan, {}, {}, 0});
-  seen.insert(PlanSignature(plan));
-
+  // signature-based de-duplication, expanded one level at a time. The
+  // states of a level that fall under the subplan cap expand as parallel
+  // tasks; each task drops children whose signature an earlier level
+  // produced (`seen` stays read-only while the level runs). The children
+  // then merge serially in (state, transformation, application) order, so
+  // `seen`, the next level and the cap cut are exactly those of a serial
+  // FIFO BFS, at any thread count.
+  struct Child {
+    EnumState state;
+    std::string signature;
+  };
+  const size_t cap = static_cast<size_t>(std::max(0, options_.max_subplans));
   const std::vector<std::string> original_jobs = unit.AllJobs();
-  while (!queue.empty() &&
-         static_cast<int>(subplans.size()) < options_.max_subplans) {
-    EnumState state = std::move(queue.front());
-    queue.pop_front();
-    std::vector<std::string> scope =
-        MappedUnitJobs(original_jobs, state.renames);
-    if (state.depth < options_.max_depth) {
-      for (const auto& t : transforms_) {
-        for (Application& app : t->FindApplications(state.plan, scope)) {
-          auto next = app.apply(state.plan);
-          if (!next.ok()) continue;  // postconditions not establishable
-          std::string sig = PlanSignature(*next);
-          if (!seen.insert(sig).second) continue;
-          EnumState ns;
-          ns.plan = std::move(*next);
-          ns.renames = ComposeRenames(state.renames, app.renames);
-          ns.applied = state.applied;
-          ns.applied.push_back(app.description);
-          ns.depth = state.depth + 1;
-          queue.push_back(std::move(ns));
+  std::vector<EnumState> subplans;
+  std::set<std::string> seen{PlanSignature(plan)};
+  std::vector<EnumState> level;
+  level.push_back(EnumState{plan, {}, {}, 0});
+  while (!level.empty() && subplans.size() < cap) {
+    const size_t expand = std::min(level.size(), cap - subplans.size());
+    std::vector<std::vector<Child>> children(expand);
+    if (level.front().depth < options_.max_depth) {
+      RunTasks(pool_, expand, [&](size_t i) {
+        const EnumState& state = level[i];
+        std::vector<std::string> scope =
+            MappedUnitJobs(original_jobs, state.renames);
+        for (const auto& t : transforms_) {
+          for (Application& app : t->FindApplications(state.plan, scope)) {
+            auto next = app.apply(state.plan);
+            if (!next.ok()) continue;  // postconditions not establishable
+            std::string sig = PlanSignature(*next);
+            if (seen.count(sig) != 0) continue;
+            EnumState ns;
+            ns.plan = std::move(*next);
+            ns.renames = ComposeRenames(state.renames, app.renames);
+            ns.applied = state.applied;
+            ns.applied.push_back(app.description);
+            ns.depth = state.depth + 1;
+            children[i].push_back(Child{std::move(ns), std::move(sig)});
+          }
+        }
+      });
+    }
+    std::vector<EnumState> next_level;
+    for (std::vector<Child>& list : children) {
+      for (Child& child : list) {
+        if (seen.insert(std::move(child.signature)).second) {
+          next_level.push_back(std::move(child.state));
         }
       }
     }
-    subplans.push_back(std::move(state));
-  }
-  // Drain any remaining queued states as subplans (cap respected).
-  while (!queue.empty() &&
-         static_cast<int>(subplans.size()) < options_.max_subplans) {
-    subplans.push_back(std::move(queue.front()));
-    queue.pop_front();
+    for (size_t i = 0; i < expand; ++i) {
+      subplans.push_back(std::move(level[i]));
+    }
+    level = std::move(next_level);
   }
 
   // Cost each subplan after an RRS pass over its unit-job configurations.
@@ -341,6 +356,10 @@ Result<UnitOptimizer::ConfiguredPlan> UnitOptimizer::OptimizeConfigurations(
   CostInstrumentation* parent_stats = engine->instrumentation();
   Plan scratch = plan;
   std::map<std::string, CostDigest> scratch_digests = digests;
+  // Points change only configurations, so they all share one shape, and
+  // each point skips the whole-plan memo: the per-job memo already replays
+  // every job a point left alone.
+  STUBBY_ASSIGN_OR_RETURN(const PlanShape shape, engine->Shape(plan));
   auto batch_eval =
       [&](const std::vector<std::vector<double>>& points) -> std::vector<double> {
     const size_t blocks = (points.size() + kBlock - 1) / kBlock;
@@ -364,18 +383,20 @@ Result<UnitOptimizer::ConfiguredPlan> UnitOptimizer::OptimizeConfigurations(
           values[p] = std::numeric_limits<double>::infinity();
           continue;
         }
-        if (!incremental_digests) {
-          values[p] = block_engine.Cost(scratch).cost;
-          continue;
+        if (incremental_digests) {
+          for (size_t i = 0; i < spaces.size(); ++i) {
+            auto jr = scratch.GetJob(spaces[i].id);
+            if (!jr.ok()) continue;
+            CostDigest jd = structure[i];
+            MixJobConfiguration(&jd, **jr);
+            scratch_digests[spaces[i].id] = jd;
+          }
         }
-        for (size_t i = 0; i < spaces.size(); ++i) {
-          auto jr = scratch.GetJob(spaces[i].id);
-          if (!jr.ok()) continue;
-          CostDigest jd = structure[i];
-          MixJobConfiguration(&jd, **jr);
-          scratch_digests[spaces[i].id] = jd;
-        }
-        values[p] = block_engine.CostWithDigests(scratch, scratch_digests).cost;
+        values[p] = block_engine
+                        .CostPoint(scratch, shape,
+                                   incremental_digests ? &scratch_digests
+                                                       : nullptr)
+                        .cost;
       }
     }
     for (size_t b = 0; b < blocks; ++b) {

@@ -101,14 +101,16 @@ struct SubplanCandidate {
 
 /// Enumerates and costs a unit's subplan space.
 ///
-/// With a pool, subplan candidates are costed as parallel tasks, and each
-/// RRS round's points in parallel blocks. Every task works against a
-/// private engine whose cache is a CostCacheOverlay over the (frozen)
-/// shared store and whose instrumentation is a private delta; overlays and
-/// deltas merge serially in task order once the batch completes. The same
-/// protocol runs at every thread count — including one — so plans, costs,
-/// RRS trajectories, and instrumentation counters are bit-identical no
-/// matter how many threads execute the tasks.
+/// With a pool, each enumeration level's states expand as parallel tasks
+/// whose children merge serially in order, and subplan candidates are
+/// costed as parallel tasks; a candidate's RRS points run serially inside
+/// its task, over one scratch plan and one plan shape. Every costing task
+/// works against a private engine whose cache is a CostCacheOverlay over
+/// the (frozen) shared store and whose instrumentation is a private delta;
+/// overlays and deltas merge serially in task order once the batch
+/// completes. The same protocol runs at every thread count — including one
+/// — so subplans, plans, costs, RRS trajectories, and instrumentation
+/// counters are bit-identical no matter how many threads execute the tasks.
 class UnitOptimizer {
  public:
   UnitOptimizer(std::vector<std::shared_ptr<Transformation>> transforms,

@@ -14,7 +14,10 @@
 #include "cost/phase_model.h"
 #include "cost/schedule.h"
 #include "cost/whatif.h"
+#include "optimizer/configuration.h"
+#include "profiler/profiler.h"
 #include "test_workflows.h"
+#include "workloads/registry.h"
 
 namespace stubby {
 namespace {
@@ -418,9 +421,14 @@ TEST(CostCacheTest, PlanDigestCoversBaseDatasetsAndMatchesPrecomputed) {
   ProfileInPlace(&*f);
   const Plan& plan = f->plan();
   EXPECT_EQ(PlanCostDigest(plan), PlanCostDigest(plan));
-  // Assembling the plan key from precomputed per-job digests is identical.
-  EXPECT_EQ(PlanCostDigestFrom(plan, JobContentDigests(plan)),
-            PlanCostDigest(plan));
+  // The per-job digests deposited alongside the key are the content digests.
+  std::map<std::string, CostDigest> deposited;
+  PlanCostDigest(plan, &deposited);
+  const auto fresh = JobContentDigests(plan);
+  ASSERT_EQ(deposited.size(), fresh.size());
+  for (const auto& [id, d] : fresh) {
+    EXPECT_EQ(deposited.at(id).value(), d.value()) << id;
+  }
   // Base dataset annotations feed the key (they seed the prediction).
   Plan other = plan;
   auto ds = other.GetMutableDataset("IN");
@@ -492,6 +500,88 @@ TEST(CostCacheTest, CachedCostingIsBitIdentical) {
   EXPECT_EQ(stats.plan_cache_misses, 2u);
   EXPECT_EQ(stats.incremental_predictions, 1u);
   EXPECT_GT(stats.job_cache_hits, 0u);
+}
+
+// The RRS loop builds one plan shape per configuration search and costs
+// every point through CostPoint over it, skipping the whole-plan memo. The
+// shape must therefore hold only configuration-independent facts: after
+// any sequence of points applied to one scratch plan, the point cost —
+// through the per-job memo with precomputed digests, or with no cache at
+// all — equals a fresh, uncached Cost of a copy, bit for bit. Coordinates
+// hit the cube's faces often, so compress_output (which rewrites produced
+// datasets' layouts) flips in both directions.
+TEST(WhatIfTest, PointCostWithShapeMatchesCost) {
+  constexpr int kPoints = 60;
+  for (const std::string& abbr : AllWorkloadAbbrs()) {
+    SCOPED_TRACE(abbr);
+    WorkloadOptions options;
+    options.sample_rows = 1500;
+    auto w = MakeWorkload(abbr, options);
+    ASSERT_TRUE(w.ok()) << w.status();
+    Dfs dfs = w->dfs;
+    ASSERT_TRUE(Profiler(options.cluster).ProfilePlan(&w->plan, &dfs).ok());
+    const Plan& base = w->plan;
+    const WhatIfEngine reference(base.cluster());
+    ASSERT_FALSE(reference.Cost(base).fallback);
+
+    std::vector<std::pair<std::string, ConfigSpace>> spaces;
+    for (const auto& [id, job] : base.jobs()) {
+      ConfigSpace space = SpaceForJob(job, base.cluster());
+      if (space.size() > 0) spaces.emplace_back(id, std::move(space));
+    }
+    ASSERT_FALSE(spaces.empty());
+
+    for (const bool cached : {true, false}) {
+      SCOPED_TRACE(cached ? "cache and digests" : "no cache");
+      WhatIfEngine engine(base.cluster());
+      CostCache cache;
+      CostInstrumentation stats;
+      if (cached) engine.set_cache(&cache);
+      engine.set_instrumentation(&stats);
+      Plan scratch = base;
+      const auto shape = engine.Shape(scratch);
+      ASSERT_TRUE(shape.ok()) << shape.status();
+
+      Rng rng(97);
+      int compress_flips = 0;
+      for (int p = 0; p < kPoints; ++p) {
+        for (const auto& [id, space] : spaces) {
+          // Each point re-draws about half the jobs, so the others replay
+          // from the per-job memo in the cached leg.
+          if (rng.NextUint64(2) == 0) continue;
+          std::vector<double> slice(space.size());
+          for (double& u : slice) {
+            u = rng.NextUint64(4) == 0 ? double(rng.NextUint64(2))
+                                       : rng.NextDouble();
+          }
+          const JobConfig& current = (*scratch.GetJob(id))->config;
+          JobConfig config = space.PointToConfig(slice, current);
+          if (config.compress_output != current.compress_output) {
+            ++compress_flips;
+          }
+          ASSERT_TRUE(ApplyConfiguration(&scratch, id, config).ok());
+        }
+        const auto digests = JobContentDigests(scratch);
+        const CostEstimate point =
+            engine.CostPoint(scratch, *shape, cached ? &digests : nullptr);
+        const Plan copy = scratch;
+        const CostEstimate fresh = reference.Cost(copy);
+        ASSERT_FALSE(fresh.fallback) << p;
+        EXPECT_FALSE(point.fallback) << p;
+        ASSERT_EQ(std::memcmp(&point.cost, &fresh.cost, sizeof(double)), 0)
+            << "point " << p << ": " << point.cost << " vs " << fresh.cost;
+        EXPECT_EQ(point.dataflow.job_finish_sec, fresh.dataflow.job_finish_sec)
+            << p;
+      }
+      EXPECT_GT(compress_flips, 5);
+      EXPECT_EQ(stats.whatif_invocations, static_cast<uint64_t>(kPoints));
+      EXPECT_EQ(stats.plan_cache_hits + stats.plan_cache_misses, 0u);
+      EXPECT_EQ(cache.plan_entries(), 0u);
+      if (cached) {
+        EXPECT_GT(stats.job_cache_hits, 0u);
+      }
+    }
+  }
 }
 
 TEST(WhatIfTest, PruningShrinksPredictedInput) {
