@@ -89,7 +89,6 @@ inline Result<double> Execute(const PreparedWorkload& pw, const Plan& plan,
 inline Result<OptimizeReport> RunStubbyReport(const PreparedWorkload& pw,
                                               bool vertical, bool horizontal,
                                               uint64_t seed = 17,
-                                              bool enable_cache = true,
                                               ThreadPool* pool = nullptr) {
   StubbyOptions opts;
   opts.enable_intra_vertical = vertical;
@@ -99,7 +98,6 @@ inline Result<OptimizeReport> RunStubbyReport(const PreparedWorkload& pw,
   // groups (Section 4).
   opts.enable_partition_function = vertical || horizontal;
   opts.enable_configuration = true;
-  opts.enable_cost_cache = enable_cache;
   opts.unit.seed = seed;
   opts.pool = pool;
   StubbyOptimizer optimizer(opts);
@@ -117,8 +115,6 @@ inline Result<Plan> RunStubby(const PreparedWorkload& pw, bool vertical,
 inline Json InstrumentationJson(const CostInstrumentation& c) {
   Json j = Json::Object();
   j["whatif_invocations"] = c.whatif_invocations;
-  j["plan_cache_hits"] = c.plan_cache_hits;
-  j["plan_cache_misses"] = c.plan_cache_misses;
   j["full_predictions"] = c.full_predictions;
   j["incremental_predictions"] = c.incremental_predictions;
   j["job_predictions"] = c.job_predictions;

@@ -192,44 +192,6 @@ void MixPredictedDataset(CostDigest* d, const PredictedDataset& p) {
   d->Mix(p.max_partition_fraction);
 }
 
-namespace {
-
-/// Mixes the base datasets' size/layout annotations (everything
-/// PredictDataflow seeds from) into the plan digest.
-void MixBaseDatasets(CostDigest* d, const Plan& plan) {
-  for (const auto& [id, ds] : plan.datasets()) {
-    if (!ds.is_base_input) continue;
-    d->Mix(id);
-    const DatasetAnnotation& a = ds.annotation;
-    d->Mix(a.num_records.has_value());
-    if (a.num_records) d->Mix(*a.num_records);
-    d->Mix(a.bytes.has_value());
-    if (a.bytes) d->Mix(*a.bytes);
-    d->Mix(a.num_partitions.has_value());
-    if (a.num_partitions) d->Mix(static_cast<uint64_t>(*a.num_partitions));
-    const Layout* layout = a.layout ? &*a.layout : &ds.layout;
-    d->Mix(layout->compressed);
-    d->Mix(layout->block_mb);
-  }
-}
-
-}  // namespace
-
-CostKey PlanCostDigest(const Plan& plan,
-                       std::map<std::string, CostDigest>* job_digests) {
-  CostDigest d;
-  d.Mix(static_cast<uint64_t>(plan.num_jobs()));
-  for (const auto& [jid, job] : plan.jobs()) {
-    CostDigest jd = JobContentDigest(job);
-    CostKey k = jd.value();
-    d.Mix(k.first);
-    d.Mix(k.second);
-    if (job_digests != nullptr) job_digests->emplace(jid, jd);
-  }
-  MixBaseDatasets(&d, plan);
-  return d.value();
-}
-
 std::map<std::string, CostDigest> JobContentDigests(const Plan& plan) {
   std::map<std::string, CostDigest> out;
   for (const auto& [jid, job] : plan.jobs()) {
@@ -240,8 +202,6 @@ std::map<std::string, CostDigest> JobContentDigests(const Plan& plan) {
 
 void CostInstrumentation::Add(const CostInstrumentation& other) {
   whatif_invocations += other.whatif_invocations;
-  plan_cache_hits += other.plan_cache_hits;
-  plan_cache_misses += other.plan_cache_misses;
   full_predictions += other.full_predictions;
   incremental_predictions += other.incremental_predictions;
   job_predictions += other.job_predictions;
@@ -252,11 +212,9 @@ void CostInstrumentation::Add(const CostInstrumentation& other) {
 
 std::string CostInstrumentation::ToString() const {
   return StrFormat(
-      "whatif=%llu plan_hits=%llu plan_misses=%llu full=%llu incr=%llu "
-      "job_pred=%llu job_hits=%llu rrs=%llu reuse_priced=%llu",
+      "whatif=%llu full=%llu incr=%llu job_pred=%llu job_hits=%llu rrs=%llu "
+      "reuse_priced=%llu",
       (unsigned long long)whatif_invocations,
-      (unsigned long long)plan_cache_hits,
-      (unsigned long long)plan_cache_misses,
       (unsigned long long)full_predictions,
       (unsigned long long)incremental_predictions,
       (unsigned long long)job_predictions,
@@ -265,70 +223,43 @@ std::string CostInstrumentation::ToString() const {
       (unsigned long long)reuse_priced_candidates);
 }
 
-CostCache::CostCache(Options options)
-    : plans_(options.plan_capacity), jobs_(options.job_capacity) {}
-
-const CostEstimate* CostCacheOverlay::PeekPlan(const CostKey& key) const {
-  auto it = plans_.find(key);
-  if (it != plans_.end()) return &it->second;
-  return parent_ != nullptr ? parent_->PeekPlan(key) : nullptr;
-}
-
 const CostJobEntry* CostCacheOverlay::PeekJob(const CostKey& key) const {
   auto it = jobs_.find(key);
   if (it != jobs_.end()) return &it->second;
   return parent_ != nullptr ? parent_->PeekJob(key) : nullptr;
 }
 
-const CostEstimate* CostCacheOverlay::FindPlan(const CostKey& key) {
-  const CostEstimate* hit = PeekPlan(key);
-  if (hit != nullptr) journal_.emplace_back(Op::kTouchPlan, key);
-  return hit;
-}
-
-void CostCacheOverlay::InsertPlan(const CostKey& key, CostEstimate est) {
-  journal_.emplace_back(Op::kInsertPlan, key);
-  plans_[key] = std::move(est);
-}
-
-void CostCacheOverlay::TouchPlan(const CostKey& key) {
-  journal_.emplace_back(Op::kTouchPlan, key);
-}
-
 const CostJobEntry* CostCacheOverlay::FindJob(const CostKey& key) {
   const CostJobEntry* hit = PeekJob(key);
-  if (hit != nullptr) journal_.emplace_back(Op::kTouchJob, key);
+  if (hit != nullptr) journal_.emplace_back(Op::kTouch, key);
   return hit;
 }
 
 void CostCacheOverlay::InsertJob(const CostKey& key, CostJobEntry entry) {
-  journal_.emplace_back(Op::kInsertJob, key);
+  journal_.emplace_back(Op::kInsert, key);
   jobs_[key] = std::move(entry);
 }
 
 void CostCacheOverlay::TouchJob(const CostKey& key) {
-  journal_.emplace_back(Op::kTouchJob, key);
+  journal_.emplace_back(Op::kTouch, key);
 }
 
-void CostCacheOverlay::MergeInto(CostStore* store) const {
+void CostCacheOverlay::MergeInto(CostStore* store) && {
   for (const auto& [op, key] : journal_) {
-    switch (op) {
-      case Op::kTouchPlan:
-        store->TouchPlan(key);
-        break;
-      case Op::kInsertPlan:
-        // Repeated inserts of one key replay the final value each time —
-        // transparency makes them bit-identical anyway.
-        store->InsertPlan(key, plans_.at(key));
-        break;
-      case Op::kTouchJob:
-        store->TouchJob(key);
-        break;
-      case Op::kInsertJob:
-        store->InsertJob(key, jobs_.at(key));
-        break;
+    if (op == Op::kInsert) {
+      auto node = jobs_.extract(key);
+      if (node) {
+        store->InsertJob(key, std::move(node.mapped()));
+        continue;
+      }
+      // A repeated insert whose entry an earlier one already moved out.
+      // Costing never produces one (the engine inserts only after a miss,
+      // and Find sees the overlay's own writes); replay it as a touch.
     }
+    store->TouchJob(key);
   }
+  jobs_.clear();
+  journal_.clear();
 }
 
 }  // namespace stubby

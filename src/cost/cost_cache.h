@@ -1,42 +1,35 @@
-// Transparent costing cache for the what-if engine (Section 6: "Stubby
-// stores and reuses the costs of the common subexpressions among
-// subplans"). Two layers of memoization:
+// Costing memo for the what-if engine (Section 6: "Stubby stores and
+// reuses the costs of the common subexpressions among subplans"): PredictJob
+// results (dataflow, task times, and the output-dataset size predictions)
+// keyed by the job's content digest plus the digests of its input
+// PredictedDatasets. A hit replays the job instead of re-predicting it.
 //
-//   1. A whole-plan memo: CostEstimates keyed by a digest of everything the
-//      what-if engine reads from a plan (job structure, stage statistics,
-//      configurations, base dataset annotations). It serves whole-plan
-//      WhatIfEngine::Cost calls only — the base plan of every subplan
-//      candidate, the final report costing, a service's repeated requests.
-//      RRS points (WhatIfEngine::CostPoint) bypass it.
-//
-//   2. A per-job incremental memo: PredictJob results (dataflow, task
-//      times, and the output-dataset size predictions) keyed by the job's
-//      content digest plus the digests of its input PredictedDatasets. An
-//      RRS point evaluation perturbs only the unit's job configurations,
-//      so every job outside the unit — and outside the unit's downstream
-//      cone — replays from the memo instead of being re-predicted; a
-//      re-evaluated point replays entirely.
-//
-// Both layers are transparent: cached and uncached costing produce
+// The memo is transparent: cached and uncached costing produce
 // bit-identical CostEstimates (entries store the exact structs that the
 // engine computed, and digests cover every input the computation reads).
 // Capacity-bounded with LRU eviction; an evicted entry is simply
 // recomputed, which yields the same bits again.
 //
-// Concurrency model. CostCache is internally synchronized (the memo maps
-// are sharded, each shard behind its own mutex), so stray concurrent use
-// is memory-safe — but lock interleaving alone cannot make hit/miss
-// counters or LRU victims deterministic. Parallel optimizer stages
-// therefore use the snapshot/overlay protocol instead: the shared cache is
-// frozen for the duration of a task batch (readers go through PeekPlan /
-// PeekJob, which never mutate recency), each task routes its reads and
-// writes through a private CostCacheOverlay, and after the batch the
-// overlays merge into the shared cache serially in task submission order.
-// Every task sees exactly the frozen snapshot plus its own writes, and the
-// merged cache state is a pure function of the submission order — so
-// costing results AND instrumentation counters are bit-identical for any
-// thread count. The protocol is applied identically in single-threaded
-// runs, making thread count unobservable.
+// Where it lives. Within one optimizer run a single prediction over a
+// PlanShape costs less than keying, looking up and copying memo entries,
+// so StubbyOptimizer costs with no memo of its own. The memo pays for work
+// that recurs across submissions: StubbyService owns one CostCache and
+// lends each request an overlay over it through StubbyOptions::cost_cache.
+//
+// Concurrency model. CostCache is internally synchronized (the memo map is
+// sharded, each shard behind its own mutex), so stray concurrent use is
+// memory-safe — but lock interleaving alone cannot make hit/miss counters
+// or LRU victims deterministic. Parallel stages therefore use the
+// snapshot/overlay protocol instead: the shared cache is frozen for the
+// duration of a task batch (readers go through PeekJob, which never
+// mutates recency), each task routes its reads and writes through a
+// private CostCacheOverlay, and after the batch the overlays merge into
+// the shared cache serially in task submission order. Every task sees
+// exactly the frozen snapshot plus its own writes, and the merged cache
+// state is a pure function of the submission order — so costing results
+// AND instrumentation counters are bit-identical for any thread count.
+//
+// The content digests below also key the reuse subsystem's memos.
 
 #pragma once
 
@@ -117,16 +110,6 @@ void MixValueDigest(CostDigest* d, const Value& v);
 /// Exposed for the reuse subsystem's layout and job-identity digests.
 void MixPartitionSpecDigest(CostDigest* d, const PartitionSpec& p);
 
-/// Digest over everything WhatIfEngine::Cost reads from a plan: every
-/// job's content digest plus the base datasets' size/layout annotations.
-/// Graph topology is covered through the jobs' input/output dataset ids.
-/// When `job_digests` is given, the per-job content digests are also
-/// deposited there so the caller can reuse them for job-memo keys instead
-/// of digesting every job a second time.
-CostKey PlanCostDigest(const Plan& plan,
-                       std::map<std::string, CostDigest>* job_digests =
-                           nullptr);
-
 /// Content digests of every job in the plan, keyed by job id. A caller
 /// that re-costs many single-job variations of one plan (the RRS loop)
 /// computes this once and refreshes only the perturbed jobs' entries.
@@ -137,9 +120,9 @@ std::map<std::string, CostDigest> JobContentDigests(const Plan& plan);
 struct CostInstrumentation {
   /// WhatIfEngine::Cost and CostPoint invocations.
   uint64_t whatif_invocations = 0;
-  /// Whole-plan memo hits / misses of WhatIfEngine::Cost calls (counted
-  /// only when a cache is attached; RRS points through CostPoint never
-  /// consult the whole-plan memo and count in neither).
+  /// Always 0: there is no whole-plan memo any more. Kept because the
+  /// benchmark harness (perfbench) still reads them; a change to the
+  /// benchmark drops them.
   uint64_t plan_cache_hits = 0;
   uint64_t plan_cache_misses = 0;
   /// Dataflow prediction passes that predicted every job from scratch vs.
@@ -170,13 +153,12 @@ struct CostJobEntry {
 };
 
 /// Read-only view of a costing memo: lookups that never change recency or
-/// contents. This is how overlay tasks read the frozen shared cache (and
-/// how overlays chain). Returned pointers stay valid while the source is
-/// frozen (no concurrent Insert).
+/// contents. This is how overlay tasks read the frozen shared cache.
+/// Returned pointers stay valid while the source is frozen (no concurrent
+/// Insert).
 class CostSource {
  public:
   virtual ~CostSource() = default;
-  virtual const CostEstimate* PeekPlan(const CostKey& key) const = 0;
   virtual const CostJobEntry* PeekJob(const CostKey& key) const = 0;
 };
 
@@ -186,49 +168,27 @@ class CostSource {
 /// log during a merge).
 class CostStore : public CostSource {
  public:
-  virtual const CostEstimate* FindPlan(const CostKey& key) = 0;
-  virtual void InsertPlan(const CostKey& key, CostEstimate est) = 0;
-  virtual void TouchPlan(const CostKey& key) = 0;
-
   virtual const CostJobEntry* FindJob(const CostKey& key) = 0;
   virtual void InsertJob(const CostKey& key, CostJobEntry entry) = 0;
   virtual void TouchJob(const CostKey& key) = 0;
 };
 
-/// The two memo layers plus eviction bookkeeping. One instance lives for
-/// the duration of one StubbyOptimizer::Optimize call, shared across
-/// phases and units. Sharded: keys map to one of up to 16 shards (the
-/// count derives from the capacity, never from the thread count), each an
-/// independently locked LRU map — concurrent Peeks never contend across
-/// shards, and caches small enough to need global LRU order (capacity
-/// < 128) keep a single shard.
+/// The job memo plus eviction bookkeeping. Sharded: keys map to one of up
+/// to 16 shards (the count derives from the capacity, never from the
+/// thread count), each an independently locked LRU map — concurrent Peeks
+/// never contend across shards, and caches small enough to need global LRU
+/// order (capacity < 128) keep a single shard.
 class CostCache final : public CostStore {
  public:
   struct Options {
-    size_t plan_capacity = 1024;
     size_t job_capacity = 16384;
   };
 
   CostCache() : CostCache(Options{}) {}
-  explicit CostCache(Options options);
+  explicit CostCache(Options options) : jobs_(options.job_capacity) {}
 
-  /// Whole-plan memo. Find refreshes LRU recency; the returned pointer is
-  /// valid until the next Insert into the key's shard.
-  const CostEstimate* FindPlan(const CostKey& key) override {
-    return plans_.Find(key);
-  }
-  void InsertPlan(const CostKey& key, CostEstimate est) override {
-    plans_.Insert(key, std::move(est));
-  }
-  void TouchPlan(const CostKey& key) override { plans_.Touch(key); }
-  const CostEstimate* PeekPlan(const CostKey& key) const override {
-    return plans_.Peek(key);
-  }
-
-  /// Backwards-compatible alias (entries were a nested type before the
-  /// store interface was factored out).
-  using JobEntry = CostJobEntry;
-
+  /// Find refreshes LRU recency; the returned pointer is valid until the
+  /// next Insert into the key's shard.
   const CostJobEntry* FindJob(const CostKey& key) override {
     return jobs_.Find(key);
   }
@@ -240,9 +200,7 @@ class CostCache final : public CostStore {
     return jobs_.Peek(key);
   }
 
-  size_t plan_entries() const { return plans_.size(); }
   size_t job_entries() const { return jobs_.size(); }
-  uint64_t plan_evictions() const { return plans_.evictions(); }
   uint64_t job_evictions() const { return jobs_.evictions(); }
 
  private:
@@ -366,7 +324,6 @@ class CostCache final : public CostStore {
     std::vector<std::unique_ptr<Shard>> shards_;
   };
 
-  ShardedLru<CostEstimate> plans_;
   ShardedLru<CostJobEntry> jobs_;
 };
 
@@ -376,8 +333,7 @@ class CostCache final : public CostStore {
 /// the shared store serially — the shared cache ends up in the exact state
 /// a single thread running the tasks in submission order would have left
 /// behind (modulo the frozen snapshot: tasks of one batch do not observe
-/// each other's inserts, by design, at every thread count). Overlays nest:
-/// an RRS point block's overlay parents on its candidate's overlay.
+/// each other's inserts, by design, at every thread count).
 ///
 /// Not internally synchronized — each overlay belongs to exactly one task.
 class CostCacheOverlay final : public CostStore {
@@ -385,27 +341,21 @@ class CostCacheOverlay final : public CostStore {
   /// `parent` may be null (no backing memo: all reads miss until written).
   explicit CostCacheOverlay(const CostSource* parent) : parent_(parent) {}
 
-  const CostEstimate* PeekPlan(const CostKey& key) const override;
   const CostJobEntry* PeekJob(const CostKey& key) const override;
-
-  const CostEstimate* FindPlan(const CostKey& key) override;
-  void InsertPlan(const CostKey& key, CostEstimate est) override;
-  void TouchPlan(const CostKey& key) override;
-
   const CostJobEntry* FindJob(const CostKey& key) override;
   void InsertJob(const CostKey& key, CostJobEntry entry) override;
   void TouchJob(const CostKey& key) override;
 
-  /// Replays this overlay's journal into `store` in access order: touches
-  /// re-assert recency, inserts write the overlay's (final) value. Call
-  /// serially, in task submission order.
-  void MergeInto(CostStore* store) const;
+  /// Replays this overlay's journal into `store` in access order and
+  /// consumes the overlay: touches re-assert recency, inserts move the
+  /// overlay's entry into the store. Call serially, in task submission
+  /// order.
+  void MergeInto(CostStore* store) &&;
 
  private:
-  enum class Op : uint8_t { kTouchPlan, kInsertPlan, kTouchJob, kInsertJob };
+  enum class Op : uint8_t { kTouch, kInsert };
 
   const CostSource* parent_;
-  std::unordered_map<CostKey, CostEstimate, CostKeyHash> plans_;
   std::unordered_map<CostKey, CostJobEntry, CostKeyHash> jobs_;
   std::vector<std::pair<Op, CostKey>> journal_;
 };

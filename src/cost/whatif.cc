@@ -567,7 +567,7 @@ Result<WorkflowDataflow> WhatIfEngine::PredictDataflowImpl(
       if (inputs_known) {
         key = digest.value();
         have_key = true;
-        if (const CostCache::JobEntry* entry = cache_->FindJob(key)) {
+        if (const CostJobEntry* entry = cache_->FindJob(key)) {
           ++replayed;
           if (stats_ != nullptr) ++stats_->job_cache_hits;
           for (const auto& [id, p] : entry->outputs) predicted[id] = p;
@@ -594,7 +594,7 @@ Result<WorkflowDataflow> WhatIfEngine::PredictDataflowImpl(
     sj.deps = js.upstream;
     sj.times = model_.TaskTimes(*df_or, job->config);
     if (have_key) {
-      CostCache::JobEntry entry;
+      CostJobEntry entry;
       entry.dataflow = *df_or;
       entry.times = sj.times;
       for (const std::string& out : js.outputs) {
@@ -640,30 +640,16 @@ CostEstimate WhatIfEngine::Estimate(
 
 CostEstimate WhatIfEngine::Cost(const Plan& plan) const {
   if (stats_ != nullptr) ++stats_->whatif_invocations;
-  CostKey key{};
-  std::map<std::string, CostDigest> job_digests;
-  if (cache_ != nullptr) {
-    key = PlanCostDigest(plan, &job_digests);
-    if (const CostEstimate* hit = cache_->FindPlan(key)) {
-      if (stats_ != nullptr) ++stats_->plan_cache_hits;
-      return *hit;
-    }
-    if (stats_ != nullptr) ++stats_->plan_cache_misses;
-  }
   auto shape = Shape(plan);
-  CostEstimate est =
-      shape.ok() ? Estimate(plan, *shape,
-                            cache_ != nullptr ? &job_digests : nullptr)
-                 : JobCountEstimate(plan);
-  if (cache_ != nullptr) cache_->InsertPlan(key, est);
-  return est;
+  return shape.ok() ? Estimate(plan, *shape, nullptr)
+                    : JobCountEstimate(plan);
 }
 
 CostEstimate WhatIfEngine::CostPoint(
     const Plan& plan, const PlanShape& shape,
     const std::map<std::string, CostDigest>* job_digests) const {
   if (stats_ != nullptr) ++stats_->whatif_invocations;
-  return Estimate(plan, shape, cache_ != nullptr ? job_digests : nullptr);
+  return Estimate(plan, shape, job_digests);
 }
 
 bool WhatIfEngine::IsCostable(const Plan& plan) const {

@@ -85,10 +85,9 @@ class WhatIfEngine {
   /// Costs one configuration point of a search: `plan` differs from the
   /// plan `shape` was built from (by an engine over the same cluster) at
   /// most in job configurations and the produced datasets' compression
-  /// flags that follow them. Equal to Cost(plan), but skips the
-  /// whole-plan memo: the per-job memo serves every job a point did not
-  /// reconfigure. With a cache attached, `job_digests` (optional) must map
-  /// every job of `plan` to its JobContentDigest — how the RRS loop avoids
+  /// flags that follow them. Equal to Cost(plan) without rebuilding the
+  /// shape. With a cache attached, `job_digests` (optional) must map every
+  /// job of `plan` to its JobContentDigest — how the RRS loop avoids
   /// re-digesting jobs it did not touch; without a cache it is ignored.
   CostEstimate CostPoint(
       const Plan& plan, const PlanShape& shape,
@@ -99,9 +98,9 @@ class WhatIfEngine {
 
   const PhaseTimeModel& model() const { return model_; }
 
-  /// Attaches a memoization store (nullptr detaches) — the shared
-  /// CostCache, or a task-private CostCacheOverlay during parallel costing
-  /// batches. Caching is transparent: cached and uncached costing return
+  /// Attaches a per-job memo (nullptr detaches) — a CostCache, or a
+  /// task-private CostCacheOverlay during parallel costing batches.
+  /// Caching is transparent: cached and uncached costing return
   /// bit-identical estimates. The store must outlive the engine or be
   /// detached first.
   void set_cache(CostStore* cache) { cache_ = cache; }
@@ -121,14 +120,13 @@ class WhatIfEngine {
       std::map<std::string, PredictedDataset>* datasets) const;
 
   /// PredictDataflow over a prebuilt shape, with optional precomputed
-  /// per-job content digests (avoids digesting every job twice when Cost
-  /// already computed them for the whole-plan memo key).
+  /// per-job content digests for the job-memo keys.
   Result<WorkflowDataflow> PredictDataflowImpl(
       const Plan& plan, const PlanShape& shape,
       const std::map<std::string, CostDigest>* job_digests) const;
 
   /// The detailed estimate over `shape`, or the job-count fallback when
-  /// the prediction fails. Touches no whole-plan memo.
+  /// the prediction fails.
   CostEstimate Estimate(
       const Plan& plan, const PlanShape& shape,
       const std::map<std::string, CostDigest>* job_digests) const;

@@ -118,11 +118,12 @@ Result<std::vector<SubplanCandidate>> UnitOptimizer::EnumerateSubplans(
 
   // Cost each subplan after an RRS pass over its unit-job configurations.
   // Candidates are independent tasks: each costs through a private engine
-  // whose cache is an overlay over the shared store (frozen for the whole
-  // batch) and whose instrumentation is a private delta. Overlays and
-  // deltas merge serially in candidate order afterwards. The protocol is
-  // the same at every thread count, so costs, chosen plans, and counters
-  // never depend on how many threads ran the tasks.
+  // whose cache (when the optimizer was lent one) is an overlay over the
+  // shared store (frozen for the whole batch) and whose instrumentation is
+  // a private delta. Overlays and deltas merge serially in candidate order
+  // afterwards. The protocol is the same at every thread count, so costs,
+  // chosen plans, and counters never depend on how many threads ran the
+  // tasks.
   const size_t n = subplans.size();
   std::vector<std::vector<std::string>> scopes(n);
   for (size_t i = 0; i < n; ++i) {
@@ -237,7 +238,9 @@ Result<std::vector<SubplanCandidate>> UnitOptimizer::EnumerateSubplans(
   Status first_error = Status::OK();
   if (search_totals != nullptr) search_totals->Add(preseed);
   for (size_t i = 0; i < n; ++i) {
-    if (shared_cache != nullptr) overlays[i]->MergeInto(shared_cache);
+    if (shared_cache != nullptr) {
+      std::move(*overlays[i]).MergeInto(shared_cache);
+    }
     if (shared_stats != nullptr) shared_stats->Add(deltas[i]);
     if (probe_cache != nullptr && probe_overlays[i] != nullptr) {
       probe_overlays[i]->MergeInto(probe_cache);
@@ -341,67 +344,39 @@ Result<UnitOptimizer::ConfiguredPlan> UnitOptimizer::OptimizeConfigurations(
   // (uncontrolled fields pass through PointToConfig unchanged), while the
   // per-point digest refresh rewrites every unit-job entry. So the scratch
   // evaluates each point exactly as a fresh copy of `plan` would, whatever
-  // point it held before.
+  // point it held before. Points change only configurations, so they all
+  // share one shape too.
   //
-  // Points are split into fixed-size blocks, evaluated in order. The block
-  // size is a constant, never derived from the thread count, because block
-  // boundaries decide which memo entries each point can see and therefore
-  // shape the instrumentation counters: each block costs through its own
-  // overlay over the engine's store and its own instrumentation delta, and
-  // the blocks of a batch merge in block order after the whole batch.
-  // Blocks are not tasks: this search already runs inside one candidate
-  // task, and candidates are the parallel grain.
-  constexpr size_t kBlock = 4;
-  CostStore* parent_cache = engine->cache();
-  CostInstrumentation* parent_stats = engine->instrumentation();
+  // Points cost one after another through `engine` — the candidate task's
+  // own engine, memo overlay and counters — so what each point finds in the
+  // memo depends only on the points before it, at any thread count.
+  CostInstrumentation* stats = engine->instrumentation();
   Plan scratch = plan;
   std::map<std::string, CostDigest> scratch_digests = digests;
-  // Points change only configurations, so they all share one shape, and
-  // each point skips the whole-plan memo: the per-job memo already replays
-  // every job a point left alone.
   STUBBY_ASSIGN_OR_RETURN(const PlanShape shape, engine->Shape(plan));
   auto batch_eval =
       [&](const std::vector<std::vector<double>>& points) -> std::vector<double> {
-    const size_t blocks = (points.size() + kBlock - 1) / kBlock;
-    std::vector<std::unique_ptr<CostCacheOverlay>> overlays(blocks);
-    std::vector<CostInstrumentation> deltas(blocks);
     std::vector<double> values(points.size());
-    for (size_t b = 0; b < blocks; ++b) {
-      WhatIfEngine block_engine(engine->model().cluster());
-      if (parent_cache != nullptr) {
-        overlays[b] = std::make_unique<CostCacheOverlay>(parent_cache);
-        block_engine.set_cache(overlays[b].get());
+    for (size_t p = 0; p < points.size(); ++p) {
+      if (stats != nullptr) ++stats->rrs_evaluations;
+      if (!apply_point_to(&scratch, points[p]).ok()) {
+        values[p] = std::numeric_limits<double>::infinity();
+        continue;
       }
-      if (parent_stats != nullptr) {
-        block_engine.set_instrumentation(&deltas[b]);
-      }
-      const size_t begin = b * kBlock;
-      const size_t end = std::min(points.size(), begin + kBlock);
-      for (size_t p = begin; p < end; ++p) {
-        if (parent_stats != nullptr) ++deltas[b].rrs_evaluations;
-        if (!apply_point_to(&scratch, points[p]).ok()) {
-          values[p] = std::numeric_limits<double>::infinity();
-          continue;
+      if (incremental_digests) {
+        for (size_t i = 0; i < spaces.size(); ++i) {
+          auto jr = scratch.GetJob(spaces[i].id);
+          if (!jr.ok()) continue;
+          CostDigest jd = structure[i];
+          MixJobConfiguration(&jd, **jr);
+          scratch_digests[spaces[i].id] = jd;
         }
-        if (incremental_digests) {
-          for (size_t i = 0; i < spaces.size(); ++i) {
-            auto jr = scratch.GetJob(spaces[i].id);
-            if (!jr.ok()) continue;
-            CostDigest jd = structure[i];
-            MixJobConfiguration(&jd, **jr);
-            scratch_digests[spaces[i].id] = jd;
-          }
-        }
-        values[p] = block_engine
-                        .CostPoint(scratch, shape,
-                                   incremental_digests ? &scratch_digests
-                                                       : nullptr)
-                        .cost;
       }
-    }
-    for (size_t b = 0; b < blocks; ++b) {
-      if (parent_cache != nullptr) overlays[b]->MergeInto(parent_cache);
-      if (parent_stats != nullptr) parent_stats->Add(deltas[b]);
+      values[p] = engine
+                      ->CostPoint(scratch, shape,
+                                  incremental_digests ? &scratch_digests
+                                                      : nullptr)
+                      .cost;
     }
     return values;
   };
@@ -433,8 +408,8 @@ Result<UnitOptimizer::ConfiguredPlan> UnitOptimizer::OptimizeConfigurations(
   STUBBY_RETURN_NOT_OK(apply_point_to(&scratch, best_point));
   if (content_digests != nullptr) {
     // The winning point only reconfigured the unit jobs: refresh those
-    // entries' configuration suffix (exactly what the block evaluator does
-    // per point) and hand the rest of the base-plan digests through.
+    // entries' configuration suffix (exactly what the point evaluator
+    // does) and hand the rest of the base-plan digests through.
     if (!incremental_digests) digests = JobContentDigests(plan);
     for (size_t i = 0; i < spaces.size(); ++i) {
       auto jr = scratch.GetJob(spaces[i].id);

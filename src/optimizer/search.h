@@ -105,8 +105,9 @@ struct SubplanCandidate {
 /// whose children merge serially in order, and subplan candidates are
 /// costed as parallel tasks; a candidate's RRS points run serially inside
 /// its task, over one scratch plan and one plan shape. Every costing task
-/// works against a private engine whose cache is a CostCacheOverlay over
-/// the (frozen) shared store and whose instrumentation is a private delta;
+/// works against a private engine whose cache (when the engine has a memo)
+/// is a CostCacheOverlay over the frozen memo and whose instrumentation is
+/// a private delta;
 /// overlays and deltas merge serially in task order once the batch
 /// completes. The same protocol runs at every thread count — including one
 /// — so subplans, plans, costs, RRS trajectories, and instrumentation

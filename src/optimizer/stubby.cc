@@ -126,18 +126,7 @@ Result<OptimizeReport> StubbyOptimizer::Optimize(const Plan& plan) const {
       return report;
     }
   }
-  // One cache per Optimize call, shared across phases and units: the base
-  // plan of every unit, RRS seed points, and all jobs outside an RRS
-  // point's perturbation cone hit the memo. An external `cost_cache` (the
-  // stubbyd shared-service memo) replaces the per-call cache outright.
-  std::optional<CostCache> cache;
-  if (options_.cost_cache != nullptr) {
-    whatif.set_cache(options_.cost_cache);
-  } else if (options_.enable_cost_cache) {
-    cache.emplace(CostCache::Options{options_.cost_cache_plan_capacity,
-                                     options_.cost_cache_job_capacity});
-    whatif.set_cache(&*cache);
-  }
+  if (options_.cost_cache != nullptr) whatif.set_cache(options_.cost_cache);
   // Search tasks produce bit-identical results at any thread count, so the
   // pool is a pure wall-time knob.
   std::optional<ThreadPool> owned_pool;
@@ -189,9 +178,9 @@ Result<OptimizeReport> StubbyOptimizer::Optimize(const Plan& plan) const {
   const bool aware_search = reuse_enabled && options_.reuse_aware_search;
   ReuseSearchState reuse_state;
   std::map<std::string, CostKey> base_seeds;
-  // One signature memo per Optimize call, shared across phases and units
-  // like the cost cache: unit base plans, upstream non-unit jobs, and
-  // repeat configurations all resolve their JobReuseKey from the memo.
+  // One signature memo per Optimize call, shared across phases and units:
+  // unit base plans, upstream non-unit jobs, and repeat configurations all
+  // resolve their JobReuseKey from the memo.
   std::optional<ReuseProbeCache> probe_cache;
   if (aware_search) {
     base_seeds = BaseInputContentSeeds(plan, *options_.reuse_dfs);

@@ -39,26 +39,19 @@ struct StubbyOptions {
   /// (the paper argues Vertical-first is the right order, Section 4).
   bool flip_phase_order = false;
 
-  /// Costing cache (Section 6's cost reuse): memoize whole-plan estimates
-  /// and per-job dataflow predictions across phases and units. Transparent:
-  /// the chosen plans, costs, and applied transforms are bit-identical with
-  /// the cache on or off.
-  bool enable_cost_cache = true;
-  size_t cost_cache_plan_capacity = 1024;
-  size_t cost_cache_job_capacity = 16384;
-  /// Borrowed external costing memo: when set, the optimizer routes what-if
-  /// memoization through it instead of creating a per-call CostCache, so
-  /// many Optimize calls can share one long-lived cache (stubbyd hands each
-  /// request a CostCacheOverlay over the shared service cache). Takes
-  /// precedence over `enable_cost_cache`. Transparent like the internal
-  /// cache — plans and costs are bit-identical with any contents — so it
-  /// stays out of the option salt.
+  /// Borrowed costing memo (Section 6's cost reuse): when set, the
+  /// optimizer memoizes per-job predictions in it, so many Optimize calls
+  /// share one long-lived memo (stubbyd lends each request a
+  /// CostCacheOverlay over its shared service memo). Unset, the optimizer
+  /// costs with no memo: within one run, predicting a job is cheaper than
+  /// keying and copying a memo entry. Transparent — plans and costs are
+  /// bit-identical with any contents — so it stays out of the option salt.
   CostStore* cost_cache = nullptr;
 
-  /// Task parallelism for the in-unit search: subplan candidates and RRS
-  /// point blocks run as pool tasks, with results bit-identical at any
-  /// thread count. When `pool` is set it is borrowed (and must outlive the
-  /// Optimize call); otherwise a pool with `threads` threads is created
+  /// Task parallelism for the in-unit search: enumeration states and
+  /// subplan candidates run as pool tasks, with results bit-identical at
+  /// any thread count. When `pool` is set it is borrowed (and must outlive
+  /// the Optimize call); otherwise a pool with `threads` threads is created
   /// per call when threads > 1.
   int threads = 1;
   ThreadPool* pool = nullptr;

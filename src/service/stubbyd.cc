@@ -231,7 +231,9 @@ RequestResult StubbyService::Commit(const Pending& pending,
     out.status = spec->status;
     out.session = std::move(spec->result);
     out.degrade = spec->level;
-    if (spec->overlay != nullptr) spec->overlay->MergeInto(&cost_cache_);
+    if (spec->overlay != nullptr) {
+      std::move(*spec->overlay).MergeInto(&cost_cache_);
+    }
   } else {
     // An earlier commit of this drain changed what the speculation
     // observed: discard it (journal, overlay and all) and run the request
@@ -268,7 +270,7 @@ RequestResult StubbyService::Commit(const Pending& pending,
     for (uint64_t n = before; n < store_.next_snapshot_id(); ++n) {
       created.insert("rs/" + std::to_string(n));
     }
-    overlay.MergeInto(&cost_cache_);
+    std::move(overlay).MergeInto(&cost_cache_);
   }
 
   Account(out.tenant, out.status, out.session, out.degrade, created);

@@ -77,7 +77,7 @@ struct ServiceOptions {
   size_t wave_size = 8;
   /// Shared-store construction options (global byte budget + policy).
   ResultStore::Options store;
-  /// Shared costing-memo capacities.
+  /// Shared per-job costing-memo capacity.
   CostCache::Options cost_cache;
   /// Per-tenant snapshot byte budget (0 = unlimited), overridable per
   /// tenant by name. Enforced after each request commits, against the
@@ -154,7 +154,6 @@ class StubbyService {
   const ServiceStats& stats() const { return stats_; }
   const ResultStore& store() const { return store_; }
   ResultStore& store() { return store_; }
-  const CostCache& cost_cache() const { return cost_cache_; }
   size_t queue_depth() const;
 
   /// Stored bytes currently attributed to `tenant` (0 if unknown).

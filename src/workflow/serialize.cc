@@ -1,5 +1,7 @@
 #include "workflow/serialize.h"
 
+#include <cmath>
+
 namespace stubby {
 
 namespace {
@@ -28,9 +30,30 @@ Result<Value> ValueFromJson(const Json& j) {
     return Status::InvalidArgument("bad value encoding");
   }
   const std::string& tag = j.items()[0].AsString();
-  if (tag == "i") return Value(j.items()[1].AsInt());
-  if (tag == "d") return Value(j.items()[1].AsNumber());
-  if (tag == "s") return Value(j.items()[1].AsString());
+  const Json& payload = j.items()[1];
+  if (tag == "i") {
+    // A finite whole number in [-2^63, 2^63): both bounds are exact
+    // doubles, and only such a number converts to int64_t without
+    // undefined behaviour.
+    const double n = payload.AsNumber();
+    if (!payload.is_number() || !std::isfinite(n) || n != std::trunc(n) ||
+        n < -0x1p63 || n >= 0x1p63) {
+      return Status::InvalidArgument("bad int value payload");
+    }
+    return Value(static_cast<int64_t>(n));
+  }
+  if (tag == "d") {
+    if (!payload.is_number()) {
+      return Status::InvalidArgument("bad double value payload");
+    }
+    return Value(payload.AsNumber());
+  }
+  if (tag == "s") {
+    if (!payload.is_string()) {
+      return Status::InvalidArgument("bad string value payload");
+    }
+    return Value(payload.AsString());
+  }
   return Status::InvalidArgument("unknown value tag '" + tag + "'");
 }
 

@@ -413,29 +413,7 @@ TEST(CostCacheTest, JobDigestIsContentSensitive) {
   ASSERT_TRUE(job->branches[0].annotations.profile.has_value());
   job->branches[0].annotations.profile->combine_selectivity *= 0.5;
   EXPECT_NE(JobContentDigest(*job).value(), base);
-}
 
-TEST(CostCacheTest, PlanDigestCoversBaseDatasetsAndMatchesPrecomputed) {
-  auto f = MakeChain(4000);
-  ASSERT_TRUE(f.ok());
-  ProfileInPlace(&*f);
-  const Plan& plan = f->plan();
-  EXPECT_EQ(PlanCostDigest(plan), PlanCostDigest(plan));
-  // The per-job digests deposited alongside the key are the content digests.
-  std::map<std::string, CostDigest> deposited;
-  PlanCostDigest(plan, &deposited);
-  const auto fresh = JobContentDigests(plan);
-  ASSERT_EQ(deposited.size(), fresh.size());
-  for (const auto& [id, d] : fresh) {
-    EXPECT_EQ(deposited.at(id).value(), d.value()) << id;
-  }
-  // Base dataset annotations feed the key (they seed the prediction).
-  Plan other = plan;
-  auto ds = other.GetMutableDataset("IN");
-  ASSERT_TRUE(ds.ok());
-  ASSERT_TRUE((*ds)->annotation.bytes.has_value());
-  *(*ds)->annotation.bytes += 1;
-  EXPECT_NE(PlanCostDigest(other), PlanCostDigest(plan));
   // Input size predictions feed the job-memo key.
   PredictedDataset p;
   p.records = 10.0;
@@ -446,23 +424,23 @@ TEST(CostCacheTest, PlanDigestCoversBaseDatasetsAndMatchesPrecomputed) {
   EXPECT_NE(a.value(), b.value());
 }
 
-TEST(CostCacheTest, PlanMemoEvictsLeastRecentlyUsed) {
-  CostCache cache(CostCache::Options{.plan_capacity = 2, .job_capacity = 4});
+TEST(CostCacheTest, JobMemoEvictsLeastRecentlyUsed) {
+  CostCache cache(CostCache::Options{.job_capacity = 2});
   const CostKey k1{1, 1}, k2{2, 2}, k3{3, 3};
-  CostEstimate est;
-  est.cost = 1.0;
-  cache.InsertPlan(k1, est);
-  est.cost = 2.0;
-  cache.InsertPlan(k2, est);
-  ASSERT_NE(cache.FindPlan(k1), nullptr);  // refresh: k2 becomes LRU
-  est.cost = 3.0;
-  cache.InsertPlan(k3, est);
-  EXPECT_EQ(cache.plan_entries(), 2u);
-  EXPECT_EQ(cache.plan_evictions(), 1u);
-  EXPECT_EQ(cache.FindPlan(k2), nullptr);
-  ASSERT_NE(cache.FindPlan(k1), nullptr);
-  EXPECT_DOUBLE_EQ(cache.FindPlan(k1)->cost, 1.0);
-  EXPECT_DOUBLE_EQ(cache.FindPlan(k3)->cost, 3.0);
+  CostJobEntry entry;
+  entry.dataflow.job_id = "J1";
+  cache.InsertJob(k1, entry);
+  entry.dataflow.job_id = "J2";
+  cache.InsertJob(k2, entry);
+  ASSERT_NE(cache.FindJob(k1), nullptr);  // refresh: k2 becomes LRU
+  entry.dataflow.job_id = "J3";
+  cache.InsertJob(k3, entry);
+  EXPECT_EQ(cache.job_entries(), 2u);
+  EXPECT_EQ(cache.job_evictions(), 1u);
+  EXPECT_EQ(cache.FindJob(k2), nullptr);
+  ASSERT_NE(cache.FindJob(k1), nullptr);
+  EXPECT_EQ(cache.FindJob(k1)->dataflow.job_id, "J1");
+  EXPECT_EQ(cache.FindJob(k3)->dataflow.job_id, "J3");
 }
 
 TEST(CostCacheTest, CachedCostingIsBitIdentical) {
@@ -478,7 +456,7 @@ TEST(CostCacheTest, CachedCostingIsBitIdentical) {
   cached.set_cache(&cache);
   cached.set_instrumentation(&stats);
   const CostEstimate first = cached.Cost(f->plan());
-  const CostEstimate again = cached.Cost(f->plan());  // whole-plan memo hit
+  const CostEstimate again = cached.Cost(f->plan());  // every job replays
 
   EXPECT_EQ(reference.cost, first.cost);  // exactly, not approximately
   EXPECT_EQ(reference.fallback, first.fallback);
@@ -487,24 +465,24 @@ TEST(CostCacheTest, CachedCostingIsBitIdentical) {
   EXPECT_EQ(first.cost, again.cost);
   EXPECT_EQ(first.dataflow.job_finish_sec, again.dataflow.job_finish_sec);
   EXPECT_EQ(stats.whatif_invocations, 2u);
-  EXPECT_EQ(stats.plan_cache_misses, 1u);
-  EXPECT_EQ(stats.plan_cache_hits, 1u);
   EXPECT_EQ(stats.full_predictions, 1u);
+  EXPECT_EQ(stats.incremental_predictions, 1u);
+  EXPECT_EQ(stats.job_cache_hits, stats.job_predictions);
+  EXPECT_EQ(stats.plan_cache_hits + stats.plan_cache_misses, 0u);
 
   // Changing one downstream job's configuration replays the untouched
   // upstream job from the per-job memo: an incremental prediction.
+  const uint64_t hits = stats.job_cache_hits;
   Plan variant = f->plan();
   (*variant.GetMutableJob("Jc"))->config.io_sort_mb += 16.0;
   const CostEstimate changed = cached.Cost(variant);
   EXPECT_EQ(changed.cost, plain.Cost(variant).cost);
-  EXPECT_EQ(stats.plan_cache_misses, 2u);
-  EXPECT_EQ(stats.incremental_predictions, 1u);
-  EXPECT_GT(stats.job_cache_hits, 0u);
+  EXPECT_EQ(stats.incremental_predictions, 2u);
+  EXPECT_GT(stats.job_cache_hits, hits);
 }
 
 // The RRS loop builds one plan shape per configuration search and costs
-// every point through CostPoint over it, skipping the whole-plan memo. The
-// shape must therefore hold only configuration-independent facts: after
+// every point through CostPoint over it. The shape must therefore hold only configuration-independent facts: after
 // any sequence of points applied to one scratch plan, the point cost —
 // through the per-job memo with precomputed digests, or with no cache at
 // all — equals a fresh, uncached Cost of a copy, bit for bit. Coordinates
@@ -575,8 +553,6 @@ TEST(WhatIfTest, PointCostWithShapeMatchesCost) {
       }
       EXPECT_GT(compress_flips, 5);
       EXPECT_EQ(stats.whatif_invocations, static_cast<uint64_t>(kPoints));
-      EXPECT_EQ(stats.plan_cache_hits + stats.plan_cache_misses, 0u);
-      EXPECT_EQ(cache.plan_entries(), 0u);
       if (cached) {
         EXPECT_GT(stats.job_cache_hits, 0u);
       }

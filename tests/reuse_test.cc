@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <optional>
+#include <regex>
 #include <string>
 #include <vector>
 
@@ -389,6 +390,23 @@ TEST(ResultStoreTest, CatalogRoundTripPreservesKeysAndCounters) {
   ASSERT_TRUE(snap.ok());
   EXPECT_TRUE(RowsBitIdentical((*snap)->AllRows(), ds->AllRows()));
   EXPECT_FALSE(ResultStore::Deserialize("{\"format\":\"nope\"}").ok());
+}
+
+TEST(ResultStoreTest, CatalogWithOutOfRangeIntValueIsRefused) {
+  ResultStore store;
+  store.Register(*MakeStored("x", 5), {{CostKey{1, 0}, ReuseKind::kJobOutput}});
+  const std::string catalog = store.Serialize();
+  ASSERT_TRUE(ResultStore::Deserialize(catalog).ok());
+  // Splice 1e30 over the first int row value: out of int64 range, so it
+  // must be refused rather than converted.
+  std::smatch m;
+  ASSERT_TRUE(std::regex_search(catalog, m, std::regex(R"("i",\s*-?[0-9]+)")));
+  const std::string spliced =
+      m.prefix().str() + "\"i\", 1e30" + m.suffix().str();
+  auto loaded = ResultStore::Deserialize(spliced);
+  EXPECT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+      << loaded.status();
 }
 
 // --- rewriting + session bit-identity --------------------------------------

@@ -157,5 +157,32 @@ TEST(SerializeTest, RejectsForeignDocuments) {
   EXPECT_FALSE(ImportPlan("not json", resolver).ok());
 }
 
+TEST(SerializeTest, RowFromJsonRefusesMalformedValues) {
+  auto row_of = [](const std::string& value) {
+    auto json = Json::Parse("[" + value + "]");
+    EXPECT_TRUE(json.ok()) << value;
+    return RowFromJson(*json);
+  };
+  auto good = row_of(R"(["i",-7],["d",1.5],["s","x"],["i",9007199254740992])");
+  ASSERT_TRUE(good.ok()) << good.status();
+  EXPECT_EQ(good->values()[0].AsInt(), -7);
+  EXPECT_EQ(good->values()[1].AsDouble(), 1.5);
+  EXPECT_EQ(good->values()[2].AsString(), "x");
+  EXPECT_EQ(good->values()[3].AsInt(), int64_t{1} << 53);
+  EXPECT_EQ(row_of(R"(["i",-9223372036854775808])")->values()[0].AsInt(),
+            INT64_MIN);
+
+  for (const char* bad : {
+           R"(["i","7"])", R"(["i",1.5])", R"(["i",1e30])",
+           R"(["i",9223372036854775808])",  // 2^63, one past the top
+           R"(["i",-1e19])", R"(["i",null])", R"(["d","1.5"])",
+           R"(["d",true])", R"(["s",7])", R"(["s",["x"]])",
+       }) {
+    auto row = row_of(bad);
+    EXPECT_FALSE(row.ok()) << bad;
+    EXPECT_EQ(row.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+}
+
 }  // namespace
 }  // namespace stubby

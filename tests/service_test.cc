@@ -378,7 +378,7 @@ TEST(StubbyServiceTest, DegradationLadder) {
 
 TEST(StubbyServiceTest, SharedCostCacheIsTransparent) {
   // The service-wide CostCache is a pure wall-time artifact: throttling it
-  // to two entries per layer must not move a single committed bit.
+  // to two job entries must not move a single committed bit.
   const SubmissionTrace trace = SmallTrace(/*universe=*/3, /*submissions=*/10,
                                            /*tenants=*/2);
   auto run = [&](CostCache::Options cache) {
@@ -395,7 +395,7 @@ TEST(StubbyServiceTest, SharedCostCacheIsTransparent) {
     return std::make_pair(std::move(captures), service.store().Serialize());
   };
   auto wide = run(CostCache::Options{});
-  auto tiny = run(CostCache::Options{2, 2});
+  auto tiny = run(CostCache::Options{2});
   ASSERT_EQ(wide.first.size(), tiny.first.size());
   for (size_t i = 0; i < wide.first.size(); ++i) {
     ExpectSameCapture(tiny.first[i], wide.first[i],

@@ -275,110 +275,118 @@ TEST(RunTasksTest, OrderedMergeIsBitIdenticalAcrossThreadCounts) {
 
 CostKey Key(uint64_t n) { return {n, ~n}; }
 
-CostEstimate Est(double cost) {
-  CostEstimate e;
-  e.cost = cost;
+/// A job-memo entry whose only distinguishing field is its map task time.
+CostJobEntry Entry(double map_sec) {
+  CostJobEntry e;
+  e.times.map_avg_sec = map_sec;
   return e;
 }
 
+double MapSec(const CostJobEntry* e) { return e->times.map_avg_sec; }
+
 TEST(CostCacheOverlayTest, ReadsFallThroughWritesStayLocal) {
   CostCache cache;
-  cache.InsertPlan(Key(1), Est(10.0));
+  cache.InsertJob(Key(1), Entry(10.0));
 
   CostCacheOverlay overlay(&cache);
-  const CostEstimate* hit = overlay.FindPlan(Key(1));
+  const CostJobEntry* hit = overlay.FindJob(Key(1));
   ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->cost, 10.0);
-  EXPECT_EQ(overlay.FindPlan(Key(2)), nullptr);
+  EXPECT_EQ(MapSec(hit), 10.0);
+  EXPECT_EQ(overlay.FindJob(Key(2)), nullptr);
 
-  overlay.InsertPlan(Key(2), Est(20.0));
-  ASSERT_NE(overlay.FindPlan(Key(2)), nullptr);
-  EXPECT_EQ(overlay.FindPlan(Key(2))->cost, 20.0);
+  overlay.InsertJob(Key(2), Entry(20.0));
+  ASSERT_NE(overlay.FindJob(Key(2)), nullptr);
+  EXPECT_EQ(MapSec(overlay.FindJob(Key(2))), 20.0);
   // The shared store must not see the overlay's write until the merge.
-  EXPECT_EQ(cache.PeekPlan(Key(2)), nullptr);
+  EXPECT_EQ(cache.PeekJob(Key(2)), nullptr);
 }
 
 TEST(CostCacheOverlayTest, LocalWriteShadowsParent) {
   CostCache cache;
-  cache.InsertPlan(Key(1), Est(10.0));
+  cache.InsertJob(Key(1), Entry(10.0));
   CostCacheOverlay overlay(&cache);
-  overlay.InsertPlan(Key(1), Est(99.0));
-  EXPECT_EQ(overlay.FindPlan(Key(1))->cost, 99.0);
-  EXPECT_EQ(overlay.PeekPlan(Key(1))->cost, 99.0);
-  EXPECT_EQ(cache.PeekPlan(Key(1))->cost, 10.0);
+  overlay.InsertJob(Key(1), Entry(99.0));
+  EXPECT_EQ(MapSec(overlay.FindJob(Key(1))), 99.0);
+  EXPECT_EQ(MapSec(overlay.PeekJob(Key(1))), 99.0);
+  EXPECT_EQ(MapSec(cache.PeekJob(Key(1))), 10.0);
 }
 
 TEST(CostCacheOverlayTest, MergeReplaysInsertsAndRecency) {
-  // plan_capacity 2 → a single shard with exact global LRU order, so the
+  // job_capacity 2 → a single shard with exact global LRU order, so the
   // journaled Touch must decide the eviction victim after the merge.
-  CostCache::Options opts;
-  opts.plan_capacity = 2;
-  CostCache cache(opts);
-  cache.InsertPlan(Key(1), Est(1.0));
-  cache.InsertPlan(Key(2), Est(2.0));  // LRU order now: 2 (fresh), 1
+  CostCache cache(CostCache::Options{.job_capacity = 2});
+  cache.InsertJob(Key(1), Entry(1.0));
+  cache.InsertJob(Key(2), Entry(2.0));  // LRU order now: 2 (fresh), 1
 
   CostCacheOverlay overlay(&cache);
-  ASSERT_NE(overlay.FindPlan(Key(1)), nullptr);  // journals a touch of 1
-  overlay.MergeInto(&cache);                     // LRU order now: 1, 2
+  ASSERT_NE(overlay.FindJob(Key(1)), nullptr);  // journals a touch of 1
+  std::move(overlay).MergeInto(&cache);         // LRU order now: 1, 2
 
-  cache.InsertPlan(Key(3), Est(3.0));  // evicts 2, the least recent
-  EXPECT_NE(cache.PeekPlan(Key(1)), nullptr);
-  EXPECT_EQ(cache.PeekPlan(Key(2)), nullptr);
-  EXPECT_NE(cache.PeekPlan(Key(3)), nullptr);
+  cache.InsertJob(Key(3), Entry(3.0));  // evicts 2, the least recent
+  EXPECT_NE(cache.PeekJob(Key(1)), nullptr);
+  EXPECT_EQ(cache.PeekJob(Key(2)), nullptr);
+  EXPECT_NE(cache.PeekJob(Key(3)), nullptr);
 }
 
 TEST(CostCacheOverlayTest, MergeWritesLocalInsertsIntoStore) {
   CostCache cache;
   CostCacheOverlay overlay(&cache);
-  overlay.InsertPlan(Key(7), Est(7.0));
-  CostJobEntry job;
-  job.times.map_avg_sec = 3.5;
+  overlay.InsertJob(Key(7), Entry(7.0));
+  CostJobEntry job = Entry(3.5);
+  job.dataflow.job_id = "J8";
+  job.outputs.emplace_back("D8", PredictedDataset{});
   overlay.InsertJob(Key(8), job);
-  overlay.MergeInto(&cache);
-  ASSERT_NE(cache.PeekPlan(Key(7)), nullptr);
-  EXPECT_EQ(cache.PeekPlan(Key(7))->cost, 7.0);
-  ASSERT_NE(cache.PeekJob(Key(8)), nullptr);
-  EXPECT_EQ(cache.PeekJob(Key(8))->times.map_avg_sec, 3.5);
+  std::move(overlay).MergeInto(&cache);
+  ASSERT_NE(cache.PeekJob(Key(7)), nullptr);
+  EXPECT_EQ(MapSec(cache.PeekJob(Key(7))), 7.0);
+  // The merge moves whole entries, every field intact.
+  const CostJobEntry* merged = cache.PeekJob(Key(8));
+  ASSERT_NE(merged, nullptr);
+  EXPECT_EQ(MapSec(merged), 3.5);
+  EXPECT_EQ(merged->dataflow.job_id, "J8");
+  ASSERT_EQ(merged->outputs.size(), 1u);
+  EXPECT_EQ(merged->outputs[0].first, "D8");
+  EXPECT_EQ(cache.job_entries(), 2u);
 }
 
 TEST(CostCacheOverlayTest, OverlaysNestOverOverlays) {
   CostCache cache;
-  cache.InsertPlan(Key(1), Est(1.0));
+  cache.InsertJob(Key(1), Entry(1.0));
   CostCacheOverlay outer(&cache);
-  outer.InsertPlan(Key(2), Est(2.0));
+  outer.InsertJob(Key(2), Entry(2.0));
 
   CostCacheOverlay inner(&outer);
-  EXPECT_EQ(inner.FindPlan(Key(1))->cost, 1.0);  // through both layers
-  EXPECT_EQ(inner.FindPlan(Key(2))->cost, 2.0);  // from the outer overlay
-  inner.InsertPlan(Key(3), Est(3.0));
-  EXPECT_EQ(outer.PeekPlan(Key(3)), nullptr);
+  EXPECT_EQ(MapSec(inner.FindJob(Key(1))), 1.0);  // through both layers
+  EXPECT_EQ(MapSec(inner.FindJob(Key(2))), 2.0);  // from the outer overlay
+  inner.InsertJob(Key(3), Entry(3.0));
+  EXPECT_EQ(outer.PeekJob(Key(3)), nullptr);
 
-  inner.MergeInto(&outer);
-  ASSERT_NE(outer.PeekPlan(Key(3)), nullptr);
-  EXPECT_EQ(outer.PeekPlan(Key(3))->cost, 3.0);
-  outer.MergeInto(&cache);
-  ASSERT_NE(cache.PeekPlan(Key(3)), nullptr);
-  EXPECT_EQ(cache.PeekPlan(Key(2))->cost, 2.0);
+  std::move(inner).MergeInto(&outer);
+  ASSERT_NE(outer.PeekJob(Key(3)), nullptr);
+  EXPECT_EQ(MapSec(outer.PeekJob(Key(3))), 3.0);
+  std::move(outer).MergeInto(&cache);
+  ASSERT_NE(cache.PeekJob(Key(3)), nullptr);
+  EXPECT_EQ(MapSec(cache.PeekJob(Key(2))), 2.0);
 }
 
 TEST(CostCacheOverlayTest, NullParentMissesUntilWritten) {
   CostCacheOverlay overlay(nullptr);
-  EXPECT_EQ(overlay.FindPlan(Key(1)), nullptr);
-  overlay.InsertPlan(Key(1), Est(5.0));
-  EXPECT_EQ(overlay.FindPlan(Key(1))->cost, 5.0);
+  EXPECT_EQ(overlay.FindJob(Key(1)), nullptr);
+  overlay.InsertJob(Key(1), Entry(5.0));
+  EXPECT_EQ(MapSec(overlay.FindJob(Key(1))), 5.0);
 }
 
 TEST(CostCacheOverlayTest, SnapshotMergeMatchesSerialExecution) {
-  // Two identical optimizer runs, one routing all cache traffic through
-  // per-task overlays merged in submission order, one writing the shared
-  // cache directly in the same order — the final cache contents must agree.
+  // Two identical runs, one routing all memo traffic through per-task
+  // overlays merged in submission order, one writing the shared memo
+  // directly in the same order — the final memo contents must agree.
   auto direct = std::make_unique<CostCache>();
   auto overlaid = std::make_unique<CostCache>();
   for (uint64_t task = 0; task < 4; ++task) {
     // Direct, serial.
     for (uint64_t k = 0; k < 3; ++k) {
-      if (direct->FindPlan(Key(task * 3 + k)) == nullptr) {
-        direct->InsertPlan(Key(task * 3 + k), Est(double(task * 3 + k)));
+      if (direct->FindJob(Key(task * 3 + k)) == nullptr) {
+        direct->InsertJob(Key(task * 3 + k), Entry(double(task * 3 + k)));
       }
     }
   }
@@ -386,20 +394,20 @@ TEST(CostCacheOverlayTest, SnapshotMergeMatchesSerialExecution) {
   for (uint64_t task = 0; task < 4; ++task) {
     overlays.push_back(std::make_unique<CostCacheOverlay>(overlaid.get()));
     for (uint64_t k = 0; k < 3; ++k) {
-      if (overlays.back()->FindPlan(Key(task * 3 + k)) == nullptr) {
-        overlays.back()->InsertPlan(Key(task * 3 + k),
-                                    Est(double(task * 3 + k)));
+      if (overlays.back()->FindJob(Key(task * 3 + k)) == nullptr) {
+        overlays.back()->InsertJob(Key(task * 3 + k),
+                                   Entry(double(task * 3 + k)));
       }
     }
   }
-  for (const auto& o : overlays) o->MergeInto(overlaid.get());
-  EXPECT_EQ(direct->plan_entries(), overlaid->plan_entries());
+  for (const auto& o : overlays) std::move(*o).MergeInto(overlaid.get());
+  EXPECT_EQ(direct->job_entries(), overlaid->job_entries());
   for (uint64_t n = 0; n < 12; ++n) {
-    const CostEstimate* a = direct->PeekPlan(Key(n));
-    const CostEstimate* b = overlaid->PeekPlan(Key(n));
+    const CostJobEntry* a = direct->PeekJob(Key(n));
+    const CostJobEntry* b = overlaid->PeekJob(Key(n));
     ASSERT_NE(a, nullptr);
     ASSERT_NE(b, nullptr);
-    EXPECT_EQ(a->cost, b->cost);
+    EXPECT_EQ(MapSec(a), MapSec(b));
   }
 }
 
