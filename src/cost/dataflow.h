@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -79,7 +78,8 @@ struct JobDataflow {
 struct WorkflowDataflow {
   std::vector<JobDataflow> jobs;
   double makespan_sec = 0.0;
-  std::map<std::string, double> job_finish_sec;
+  /// Simulated finish time of jobs[i], in seconds from the workflow start.
+  std::vector<double> job_finish_sec;
 
   const JobDataflow* FindJob(const std::string& id) const;
   std::string ToString() const;

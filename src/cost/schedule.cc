@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <queue>
-#include <set>
 
 namespace stubby {
 
@@ -14,7 +13,8 @@ namespace {
 // optimizer's inner costing loop. The slowest task's extra time (skew) is
 // charged to the final batch of each phase.
 struct JobState {
-  const ScheduledJob* job = nullptr;
+  const JobTaskTimes* times = nullptr;
+  int id_rank = 0;
   int deps_remaining = 0;
   double ready_time = -1.0;  ///< maps may start (deps done + overhead)
   int maps_pending = 0;
@@ -41,30 +41,65 @@ struct Event {
 
 }  // namespace
 
-Result<ScheduleResult> SimulateCluster(const std::vector<ScheduledJob>& jobs,
-                                       const ClusterSpec& cluster) {
+Result<ScheduleGraph> ResolveScheduleGraph(
+    std::vector<std::string> ids,
+    const std::vector<std::vector<std::string>>& deps) {
+  const size_t n = ids.size();
   std::map<std::string, size_t> index;
-  for (size_t i = 0; i < jobs.size(); ++i) {
-    if (!index.emplace(jobs[i].id, i).second) {
-      return Status::InvalidArgument("duplicate job id '" + jobs[i].id + "'");
+  for (size_t i = 0; i < n; ++i) {
+    if (!index.emplace(ids[i], i).second) {
+      return Status::InvalidArgument("duplicate job id '" + ids[i] + "'");
     }
   }
-  std::vector<JobState> state(jobs.size());
-  std::vector<std::vector<size_t>> dependents(jobs.size());
-  for (size_t i = 0; i < jobs.size(); ++i) {
-    state[i].job = &jobs[i];
-    state[i].maps_pending = std::max(0, jobs[i].times.map_tasks);
-    state[i].reduces_pending = std::max(0, jobs[i].times.reduce_tasks);
-    state[i].deps_remaining = 0;
-    for (const auto& d : jobs[i].deps) {
+  ScheduleGraph graph;
+  graph.id_rank.resize(n);
+  int rank = 0;
+  for (const auto& [id, i] : index) graph.id_rank[i] = rank++;
+  graph.num_deps.assign(n, 0);
+  graph.dependents.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    for (const std::string& d : deps[i]) {
       auto it = index.find(d);
       if (it == index.end()) {
-        return Status::InvalidArgument("job '" + jobs[i].id +
+        return Status::InvalidArgument("job '" + ids[i] +
                                        "' depends on unknown job '" + d + "'");
       }
-      dependents[it->second].push_back(i);
-      state[i].deps_remaining++;
+      graph.dependents[it->second].push_back(i);
+      graph.num_deps[i]++;
     }
+  }
+  // Kahn's algorithm: every job must become ready eventually.
+  std::vector<int> remaining = graph.num_deps;
+  std::vector<size_t> ready;
+  for (size_t i = 0; i < n; ++i) {
+    if (remaining[i] == 0) ready.push_back(i);
+  }
+  size_t reached = 0;
+  while (!ready.empty()) {
+    const size_t i = ready.back();
+    ready.pop_back();
+    ++reached;
+    for (size_t dep : graph.dependents[i]) {
+      if (--remaining[dep] == 0) ready.push_back(dep);
+    }
+  }
+  if (reached != n) {
+    return Status::InvalidArgument("job dependencies form a cycle");
+  }
+  graph.ids = std::move(ids);
+  return graph;
+}
+
+Result<ScheduleTimes> SimulateCluster(const ScheduleGraph& graph,
+                                      const std::vector<JobTaskTimes>& times,
+                                      const ClusterSpec& cluster) {
+  std::vector<JobState> state(graph.ids.size());
+  for (size_t i = 0; i < state.size(); ++i) {
+    state[i].times = &times[i];
+    state[i].id_rank = graph.id_rank[i];
+    state[i].maps_pending = std::max(0, times[i].map_tasks);
+    state[i].reduces_pending = std::max(0, times[i].reduce_tasks);
+    state[i].deps_remaining = graph.num_deps[i];
   }
 
   int free_map = cluster.total_map_slots();
@@ -76,18 +111,17 @@ Result<ScheduleResult> SimulateCluster(const std::vector<ScheduledJob>& jobs,
 
   for (size_t i = 0; i < state.size(); ++i) {
     if (state[i].deps_remaining == 0) {
-      state[i].ready_time = state[i].job->times.job_overhead_sec;
+      state[i].ready_time = state[i].times->job_overhead_sec;
     }
   }
 
-  auto finish_job = [&](size_t i, std::vector<size_t>* newly_ready) {
+  auto finish_job = [&](size_t i) {
     state[i].done = true;
     state[i].finish_time = now;
-    for (size_t dep : dependents[i]) {
+    for (size_t dep : graph.dependents[i]) {
       if (--state[dep].deps_remaining == 0) {
         state[dep].ready_time =
-            now + state[dep].job->times.job_overhead_sec;
-        newly_ready->push_back(dep);
+            now + state[dep].times->job_overhead_sec;
       }
     }
   };
@@ -103,7 +137,7 @@ Result<ScheduleResult> SimulateCluster(const std::vector<ScheduledJob>& jobs,
           if (best == state.size() ||
               state[i].ready_time < state[best].ready_time ||
               (state[i].ready_time == state[best].ready_time &&
-               state[i].job->id < state[best].job->id)) {
+               state[i].id_rank < state[best].id_rank)) {
             best = i;
           }
         }
@@ -114,8 +148,8 @@ Result<ScheduleResult> SimulateCluster(const std::vector<ScheduledJob>& jobs,
       js.maps_pending -= n;
       js.maps_running += n;
       free_map -= n;
-      double dur = js.maps_pending == 0 ? js.job->times.map_max_sec
-                                        : js.job->times.map_avg_sec;
+      double dur = js.maps_pending == 0 ? js.times->map_max_sec
+                                        : js.times->map_avg_sec;
       pq.push(Event{now + std::max(0.0, dur), seq++, Event::kMapBatchDone,
                     best, n});
     }
@@ -128,7 +162,7 @@ Result<ScheduleResult> SimulateCluster(const std::vector<ScheduledJob>& jobs,
           if (best == state.size() ||
               state[i].reduce_ready_time < state[best].reduce_ready_time ||
               (state[i].reduce_ready_time == state[best].reduce_ready_time &&
-               state[i].job->id < state[best].job->id)) {
+               state[i].id_rank < state[best].id_rank)) {
             best = i;
           }
         }
@@ -139,8 +173,8 @@ Result<ScheduleResult> SimulateCluster(const std::vector<ScheduledJob>& jobs,
       js.reduces_pending -= n;
       js.reduces_running += n;
       free_reduce -= n;
-      double dur = js.reduces_pending == 0 ? js.job->times.reduce_max_sec
-                                           : js.job->times.reduce_avg_sec;
+      double dur = js.reduces_pending == 0 ? js.times->reduce_max_sec
+                                           : js.times->reduce_avg_sec;
       pq.push(Event{now + std::max(0.0, dur), seq++, Event::kReduceBatchDone,
                     best, n});
     }
@@ -149,7 +183,7 @@ Result<ScheduleResult> SimulateCluster(const std::vector<ScheduledJob>& jobs,
   // Jobs with zero tasks complete instantly at their ready time; model them
   // as a zero-length map batch.
   for (size_t i = 0; i < state.size(); ++i) {
-    if (state[i].job->times.map_tasks <= 0) state[i].maps_pending = 1;
+    if (state[i].times->map_tasks <= 0) state[i].maps_pending = 1;
   }
 
   // Kick-off events at initial ready times so that jobs whose overhead
@@ -190,36 +224,60 @@ Result<ScheduleResult> SimulateCluster(const std::vector<ScheduledJob>& jobs,
     pq.pop();
     now = ev.time;
     JobState& js = state[ev.job_index];
-    std::vector<size_t> newly_ready;
     if (ev.kind == Event::kMapBatchDone) {
       js.maps_running -= ev.count;
       free_map += ev.count;
       if (js.maps_pending == 0 && js.maps_running == 0) {
-        if (js.job->times.reduce_tasks > 0) {
+        if (js.times->reduce_tasks > 0) {
           js.reduce_ready_time = now;
         } else if (!js.done) {
-          finish_job(ev.job_index, &newly_ready);
+          finish_job(ev.job_index);
         }
       }
     } else {
       js.reduces_running -= ev.count;
       free_reduce += ev.count;
       if (js.reduces_pending == 0 && js.reduces_running == 0 && !js.done) {
-        finish_job(ev.job_index, &newly_ready);
+        finish_job(ev.job_index);
       }
     }
     dispatch();
   }
 
-  ScheduleResult result;
-  for (const auto& js : state) {
-    if (!js.done) {
-      return Status::Internal("job '" + js.job->id +
-                              "' never completed in simulation (cyclic "
-                              "dependencies?)");
+  ScheduleTimes result;
+  result.finish_sec.resize(state.size());
+  for (size_t i = 0; i < state.size(); ++i) {
+    if (!state[i].done) {
+      return Status::Internal("job '" + graph.ids[i] +
+                              "' never completed in simulation");
     }
-    result.job_finish_sec[js.job->id] = js.finish_time;
-    result.makespan_sec = std::max(result.makespan_sec, js.finish_time);
+    result.finish_sec[i] = state[i].finish_time;
+    result.makespan_sec = std::max(result.makespan_sec, state[i].finish_time);
+  }
+  return result;
+}
+
+Result<ScheduleResult> SimulateCluster(const std::vector<ScheduledJob>& jobs,
+                                       const ClusterSpec& cluster) {
+  std::vector<std::string> ids;
+  std::vector<std::vector<std::string>> deps;
+  std::vector<JobTaskTimes> times;
+  ids.reserve(jobs.size());
+  deps.reserve(jobs.size());
+  times.reserve(jobs.size());
+  for (const ScheduledJob& j : jobs) {
+    ids.push_back(j.id);
+    deps.push_back(j.deps);
+    times.push_back(j.times);
+  }
+  STUBBY_ASSIGN_OR_RETURN(ScheduleGraph graph,
+                          ResolveScheduleGraph(std::move(ids), deps));
+  STUBBY_ASSIGN_OR_RETURN(ScheduleTimes sim,
+                          SimulateCluster(graph, times, cluster));
+  ScheduleResult result;
+  result.makespan_sec = sim.makespan_sec;
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    result.job_finish_sec[graph.ids[i]] = sim.finish_sec[i];
   }
   return result;
 }

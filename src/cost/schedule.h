@@ -31,6 +31,36 @@ struct ScheduleResult {
   std::map<std::string, double> job_finish_sec;
 };
 
+/// A job DAG with its dependencies resolved from ids to indices, validated
+/// once and then simulated under any number of task-time assignments (the
+/// what-if engine simulates one per configuration point).
+struct ScheduleGraph {
+  std::vector<std::string> ids;
+  /// Position of ids[i] in sorted id order: the FIFO tie-break between
+  /// jobs that become ready at the same time.
+  std::vector<int> id_rank;
+  std::vector<int> num_deps;                    ///< upstream jobs of job i
+  std::vector<std::vector<size_t>> dependents;  ///< jobs waiting on job i
+};
+
+/// Resolves `deps[i]`, the upstream job ids of job `ids[i]`. Fails with
+/// InvalidArgument on duplicate ids, unknown dependencies or a cycle.
+Result<ScheduleGraph> ResolveScheduleGraph(
+    std::vector<std::string> ids,
+    const std::vector<std::vector<std::string>>& deps);
+
+/// Simulated finish times over a ScheduleGraph, indexed like its jobs.
+struct ScheduleTimes {
+  double makespan_sec = 0.0;
+  std::vector<double> finish_sec;
+};
+
+/// Simulates `graph` with job i taking `times[i]` (one entry per job).
+/// Equal, bit for bit, to the id-keyed SimulateCluster over the same jobs.
+Result<ScheduleTimes> SimulateCluster(const ScheduleGraph& graph,
+                                      const std::vector<JobTaskTimes>& times,
+                                      const ClusterSpec& cluster);
+
 /// Simulates the execution of `jobs` (any order; dependencies resolved by
 /// id) on the cluster. Fails if dependencies reference unknown jobs or form
 /// a cycle.

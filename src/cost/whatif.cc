@@ -9,6 +9,30 @@
 
 namespace stubby {
 
+/// The dataset predictions of one pass over a plan shape, held in the
+/// shape's slots: a pass copies one vector instead of a string-keyed map.
+class DatasetPredictions {
+ public:
+  explicit DatasetPredictions(const PlanShape& shape)
+      : slots_(&shape.dataset_slots), values_(shape.base_inputs) {}
+
+  /// nullptr until the dataset is predicted.
+  const PredictedDataset* Find(const std::string& id) const {
+    auto it = slots_->find(id);
+    if (it == slots_->end() || !values_[it->second]) return nullptr;
+    return &*values_[it->second];
+  }
+  /// Every id a job writes has a slot; others are never read, so dropped.
+  void Set(const std::string& id, const PredictedDataset& p) {
+    auto it = slots_->find(id);
+    if (it != slots_->end()) values_[it->second] = p;
+  }
+
+ private:
+  const std::map<std::string, size_t>* slots_;
+  std::vector<std::optional<PredictedDataset>> values_;
+};
+
 namespace {
 
 constexpr double kMB = 1024.0 * 1024.0;
@@ -35,14 +59,10 @@ double EstimateDistinctKeys(const Branch& branch) {
   return any ? distinct : 0.0;
 }
 
-/// Per-branch reduce-side distribution estimate.
-struct ReduceDistribution {
-  int nonempty = 1;
-  double max_fraction = 1.0;  ///< of the branch's shuffle volume
-};
-
-ReduceDistribution EstimateReduceDistribution(const Branch& branch, int R) {
-  ReduceDistribution d;
+/// Everything the reduce-side distribution of `branch` reads from the
+/// branch and its profile.
+ReduceSkew BranchReduceSkew(const Branch& branch) {
+  ReduceSkew skew;
   const PartitionSpec& p = branch.partition;
   const auto& profile = branch.annotations.profile;
   if (p.type == PartitionType::kRange && !p.split_points.empty() &&
@@ -50,6 +70,7 @@ ReduceDistribution EstimateReduceDistribution(const Branch& branch, int R) {
     const KeyHistogram* h = profile->FindHistogram(p.partition_fields[0]);
     if (h != nullptr) {
       // Per-partition fractions from the histogram over the split points.
+      ReduceDistribution& d = skew.fixed;
       double max_frac = 0.0;
       int nonempty = 0;
       double prev = h->min;
@@ -68,31 +89,59 @@ ReduceDistribution EstimateReduceDistribution(const Branch& branch, int R) {
       // Equi-width buckets cannot see single heavy-hitter keys; a hot key
       // is never split across partitions, so it lower-bounds the skew.
       d.max_fraction = std::max(d.max_fraction, h->max_key_fraction);
-      return d;
+      skew.kind = ReduceSkew::Kind::kFixed;
+      return skew;
     }
   }
   if (p.type == PartitionType::kRange && !p.split_points_from.empty()) {
-    // Sampled split points approximate quantiles, but an atomic key's mass
-    // is never split: the profiled key distribution bounds the balance.
+    skew.kind = ReduceSkew::Kind::kSampledRange;
     const KeyHistogram* h =
         (profile && p.partition_fields.size() == 1)
             ? profile->FindHistogram(p.partition_fields[0])
             : nullptr;
     if (h != nullptr) {
-      d.nonempty = static_cast<int>(std::clamp(
-          static_cast<double>(h->distinct), 1.0, static_cast<double>(R)));
-      d.max_fraction = std::max(std::min(1.0, 1.2 / d.nonempty),
-                                h->max_key_fraction);
-    } else {
-      d.nonempty = R;
-      d.max_fraction = std::min(1.0, 1.2 / R);
+      skew.key_histogram = true;
+      skew.distinct = static_cast<double>(h->distinct);
+      skew.hot = h->max_key_fraction;
     }
-    return d;
+    return skew;
+  }
+  skew.distinct = EstimateDistinctKeys(branch);
+  if (profile && p.partition_fields == branch.GroupFields()) {
+    skew.hot = profile->k2_max_group_fraction;
+  } else if (profile && p.partition_fields.size() == 1) {
+    const KeyHistogram* h = profile->FindHistogram(p.partition_fields[0]);
+    if (h != nullptr) skew.hot = h->max_key_fraction;
+  }
+  return skew;
+}
+
+/// The reduce-side distribution over `R` reduce tasks.
+ReduceDistribution EstimateReduceDistribution(const ReduceSkew& skew, int R) {
+  ReduceDistribution d;
+  switch (skew.kind) {
+    case ReduceSkew::Kind::kFixed:
+      return skew.fixed;
+    case ReduceSkew::Kind::kSampledRange:
+      // Sampled split points approximate quantiles, but an atomic key's
+      // mass is never split: the profiled key distribution bounds the
+      // balance.
+      if (skew.key_histogram) {
+        d.nonempty = static_cast<int>(
+            std::clamp(skew.distinct, 1.0, static_cast<double>(R)));
+        d.max_fraction = std::max(std::min(1.0, 1.2 / d.nonempty), skew.hot);
+      } else {
+        d.nonempty = R;
+        d.max_fraction = std::min(1.0, 1.2 / R);
+      }
+      return d;
+    case ReduceSkew::Kind::kHash:
+      break;
   }
   // Hash partitioning: parallelism is bounded by the distinct key count,
   // and the largest partition carries the heavy-hitter group plus an
   // average share of the rest.
-  double distinct = EstimateDistinctKeys(branch);
+  const double distinct = skew.distinct;
   if (distinct > 0.0) {
     // Balls-in-bins: the partitions actually hit by `distinct` keys.
     double hit = R * (1.0 - std::exp(-distinct / R));
@@ -101,14 +150,7 @@ ReduceDistribution EstimateReduceDistribution(const Branch& branch, int R) {
   } else {
     d.nonempty = R;
   }
-  double hot = 0.0;
-  if (profile && branch.partition.partition_fields == branch.GroupFields()) {
-    hot = profile->k2_max_group_fraction;
-  } else if (profile && branch.partition.partition_fields.size() == 1) {
-    const KeyHistogram* h =
-        profile->FindHistogram(branch.partition.partition_fields[0]);
-    if (h != nullptr) hot = h->max_key_fraction;
-  }
+  const double hot = skew.hot;
   double base = 1.0 / static_cast<double>(d.nonempty);
   // Balls-in-bins max-load correction: with d keys over R partitions the
   // fullest partition holds about d/R + sqrt(2 d/R ln R) keys.
@@ -126,9 +168,12 @@ ReduceDistribution EstimateReduceDistribution(const Branch& branch, int R) {
 }  // namespace
 
 Result<JobDataflow> WhatIfEngine::PredictJob(
-    const Plan& plan, const JobVertex& job,
-    std::map<std::string, PredictedDataset>* datasets) const {
-  (void)plan;
+    const JobVertex& job, const PlanShape::Job& shape,
+    DatasetPredictions* datasets) const {
+  if (shape.reduce_skew.size() != job.branches.size()) {
+    return Status::FailedPrecondition("job '" + job.id +
+                                      "' does not match its plan shape");
+  }
   JobDataflow df;
   df.job_id = job.id;
   const int R = job.map_only() ? 0 : job.EffectiveReduceTasks();
@@ -142,14 +187,13 @@ Result<JobDataflow> WhatIfEngine::PredictJob(
   };
   std::vector<BranchAccum> acc(job.branches.size());
 
-  std::vector<InputGroup> groups = GroupBranchInputs(job);
-  for (const InputGroup& g : groups) {
-    auto it = datasets->find(g.dataset_id);
-    if (it == datasets->end()) {
+  for (const InputGroup& g : shape.groups) {
+    const PredictedDataset* found = datasets->Find(g.dataset_id);
+    if (found == nullptr) {
       return Status::FailedPrecondition("no size prediction for dataset '" +
                                         g.dataset_id + "'");
     }
-    const PredictedDataset& pred = it->second;
+    const PredictedDataset& pred = *found;
     double frac = g.prune_partitions.empty() ? 1.0 : g.prune_fraction;
     double in_records = pred.records * frac;
     double in_bytes = pred.bytes * frac;
@@ -209,7 +253,7 @@ Result<JobDataflow> WhatIfEngine::PredictJob(
           tee.stored_bytes = bytes;
           tee.partitions = tasks;
           tee.max_partition_fraction = 1.0 / std::max(1, tasks);
-          (*datasets)[s.tee_dataset] = tee;
+          datasets->Set(s.tee_dataset, tee);
         }
       }
       // An empty pipeline forwards exactly what was read.
@@ -230,12 +274,12 @@ Result<JobDataflow> WhatIfEngine::PredictJob(
     double task_in_bytes = 0.0;   // avg per task, across inputs
     double max_task_bytes = 0.0;
     for (const BranchInput& input : b.inputs) {
-      auto it = datasets->find(input.dataset_id);
-      if (it == datasets->end()) {
+      const PredictedDataset* found = datasets->Find(input.dataset_id);
+      if (found == nullptr) {
         return Status::FailedPrecondition("no size prediction for dataset '" +
                                           input.dataset_id + "'");
       }
-      const PredictedDataset& pred = it->second;
+      const PredictedDataset& pred = *found;
       double frac =
           input.prune_partitions.empty() ? 1.0 : input.prune_fraction;
       int in_tasks = input.prune_partitions.empty()
@@ -274,7 +318,7 @@ Result<JobDataflow> WhatIfEngine::PredictJob(
           tee.stored_bytes = bytes;
           tee.partitions = in_tasks;
           tee.max_partition_fraction = 1.0 / std::max(1, in_tasks);
-          (*datasets)[s.tee_dataset] = tee;
+          datasets->Set(s.tee_dataset, tee);
         }
       }
       merged_recs += input.map_stages.empty() ? in_records : recs;
@@ -304,7 +348,7 @@ Result<JobDataflow> WhatIfEngine::PredictJob(
         tee.stored_bytes = bytes;
         tee.partitions = tasks;
         tee.max_partition_fraction = 1.0 / std::max(1, tasks);
-        (*datasets)[s.tee_dataset] = tee;
+        datasets->Set(s.tee_dataset, tee);
       }
     }
     acc[bi].map_out_records = recs;
@@ -325,9 +369,9 @@ Result<JobDataflow> WhatIfEngine::PredictJob(
     // est_pass_fraction selectivity already shrank the shuffle above.
     if (b.bloom) {
       const BranchInput& build = b.inputs[b.bloom->build_input];
-      auto it = datasets->find(build.dataset_id);
-      if (it != datasets->end()) {
-        const PredictedDataset& pred = it->second;
+      const PredictedDataset* found = datasets->Find(build.dataset_id);
+      if (found != nullptr) {
+        const PredictedDataset& pred = *found;
         double frac =
             build.prune_partitions.empty() ? 1.0 : build.prune_fraction;
         double in_records = pred.records * frac;
@@ -360,7 +404,7 @@ Result<JobDataflow> WhatIfEngine::PredictJob(
                                      : bytes;
       out.partitions = std::max(1, acc[bi].tasks);
       out.max_partition_fraction = 1.0 / out.partitions;
-      (*datasets)[b.output_dataset] = out;
+      datasets->Set(b.output_dataset, out);
       continue;
     }
 
@@ -393,7 +437,8 @@ Result<JobDataflow> WhatIfEngine::PredictJob(
     df.reduce_input_records += static_cast<uint64_t>(c_recs);
     df.reduce_input_bytes += static_cast<uint64_t>(c_bytes);
 
-    ReduceDistribution dist = EstimateReduceDistribution(b, std::max(1, R));
+    const ReduceDistribution dist =
+        EstimateReduceDistribution(shape.reduce_skew[bi], std::max(1, R));
     df.nonempty_reduce_partitions =
         std::max(df.nonempty_reduce_partitions, dist.nonempty);
     df.max_reduce_input_bytes += static_cast<uint64_t>(
@@ -425,7 +470,7 @@ Result<JobDataflow> WhatIfEngine::PredictJob(
           tee.stored_bytes = r_bytes;
           tee.partitions = std::max(1, R);
           tee.max_partition_fraction = dist.max_fraction;
-          (*datasets)[s.tee_dataset] = tee;
+          datasets->Set(s.tee_dataset, tee);
         }
         continue;
       }
@@ -440,7 +485,7 @@ Result<JobDataflow> WhatIfEngine::PredictJob(
         tee.stored_bytes = r_bytes;
         tee.partitions = std::max(1, R);
         tee.max_partition_fraction = dist.max_fraction;
-        (*datasets)[s.tee_dataset] = tee;
+        datasets->Set(s.tee_dataset, tee);
       }
     }
     df.output_records += static_cast<uint64_t>(r_recs);
@@ -454,7 +499,7 @@ Result<JobDataflow> WhatIfEngine::PredictJob(
                            : r_bytes;
     out.partitions = std::max(1, R);
     out.max_partition_fraction = dist.max_fraction;
-    (*datasets)[b.output_dataset] = out;
+    datasets->Set(b.output_dataset, out);
   }
   return df;
 }
@@ -467,6 +512,12 @@ Result<WorkflowDataflow> WhatIfEngine::PredictDataflow(
 
 Result<PlanShape> WhatIfEngine::Shape(const Plan& plan) const {
   PlanShape shape;
+  auto slot = [&shape](const std::string& id) {
+    auto [it, added] =
+        shape.dataset_slots.emplace(id, shape.dataset_slots.size());
+    if (added) shape.base_inputs.emplace_back();
+    return it->second;
+  };
   // Seed predictions from base dataset annotations.
   for (const auto& [id, ds] : plan.datasets()) {
     if (!ds.is_base_input) continue;
@@ -490,32 +541,45 @@ Result<PlanShape> WhatIfEngine::Shape(const Plan& plan) const {
                                         (layout->block_mb * kMB))));
     }
     p.max_partition_fraction = 1.0 / std::max(1, p.partitions);
-    shape.base_inputs[id] = p;
+    const size_t i = slot(id);
+    shape.base_inputs[i] = p;
   }
 
   STUBBY_ASSIGN_OR_RETURN(std::vector<std::string> order,
                           plan.TopologicalOrder());
+  std::vector<std::vector<std::string>> upstream;
   shape.jobs.reserve(order.size());
-  for (std::string& jid : order) {
+  upstream.reserve(order.size());
+  for (const std::string& jid : order) {
     STUBBY_ASSIGN_OR_RETURN(const JobVertex* job, plan.GetJob(jid));
     PlanShape::Job entry;
-    entry.upstream = plan.UpstreamJobs(jid);
+    entry.id = jid;
     entry.inputs = job->InputDatasets();
     entry.outputs = job->OutputDatasets();
-    entry.id = std::move(jid);
+    entry.groups = GroupBranchInputs(*job);
+    for (const std::string& id : entry.inputs) slot(id);
+    for (const std::string& id : entry.outputs) slot(id);
+    entry.reduce_skew.reserve(job->branches.size());
+    for (const Branch& b : job->branches) {
+      entry.reduce_skew.push_back(b.map_only() ? ReduceSkew{}
+                                               : BranchReduceSkew(b));
+    }
     shape.jobs.push_back(std::move(entry));
+    upstream.push_back(plan.UpstreamJobs(jid));
   }
+  STUBBY_ASSIGN_OR_RETURN(shape.schedule,
+                          ResolveScheduleGraph(std::move(order), upstream));
   return shape;
 }
 
 Result<WorkflowDataflow> WhatIfEngine::PredictDataflowImpl(
     const Plan& plan, const PlanShape& shape,
     const std::map<std::string, CostDigest>* job_digests) const {
-  std::map<std::string, PredictedDataset> predicted = shape.base_inputs;
+  DatasetPredictions predicted(shape);
   WorkflowDataflow flow;
   flow.jobs.reserve(shape.jobs.size());
-  std::vector<ScheduledJob> scheduled;
-  scheduled.reserve(shape.jobs.size());
+  std::vector<JobTaskTimes> times;
+  times.reserve(shape.jobs.size());
   uint64_t replayed = 0;
   uint64_t predicted_fresh = 0;
   // Counts this pass as full (every job predicted from scratch) or
@@ -554,15 +618,15 @@ Result<WorkflowDataflow> WhatIfEngine::PredictDataflowImpl(
       }
       bool inputs_known = true;
       for (const std::string& in : js.inputs) {
-        auto it = predicted.find(in);
-        if (it == predicted.end()) {
+        const PredictedDataset* p = predicted.Find(in);
+        if (p == nullptr) {
           // Missing input prediction: fall through to PredictJob, which
           // reports the precise error.
           inputs_known = false;
           break;
         }
         digest.Mix(in);
-        MixPredictedDataset(&digest, it->second);
+        MixPredictedDataset(&digest, *p);
       }
       if (inputs_known) {
         key = digest.value();
@@ -570,47 +634,40 @@ Result<WorkflowDataflow> WhatIfEngine::PredictDataflowImpl(
         if (const CostJobEntry* entry = cache_->FindJob(key)) {
           ++replayed;
           if (stats_ != nullptr) ++stats_->job_cache_hits;
-          for (const auto& [id, p] : entry->outputs) predicted[id] = p;
-          ScheduledJob sj;
-          sj.id = jid;
-          sj.deps = js.upstream;
-          sj.times = entry->times;
-          scheduled.push_back(std::move(sj));
+          for (const auto& [id, p] : entry->outputs) predicted.Set(id, p);
+          times.push_back(entry->times);
           flow.jobs.push_back(entry->dataflow);
           continue;
         }
       }
     }
 
-    auto df_or = PredictJob(plan, *job, &predicted);
+    auto df_or = PredictJob(*job, js, &predicted);
     if (!df_or.ok()) {
       count_pass();
       return df_or.status();
     }
     ++predicted_fresh;
     if (stats_ != nullptr) ++stats_->job_predictions;
-    ScheduledJob sj;
-    sj.id = jid;
-    sj.deps = js.upstream;
-    sj.times = model_.TaskTimes(*df_or, job->config);
+    times.push_back(model_.TaskTimes(*df_or, job->config));
     if (have_key) {
       CostJobEntry entry;
       entry.dataflow = *df_or;
-      entry.times = sj.times;
+      entry.times = times.back();
       for (const std::string& out : js.outputs) {
-        auto it = predicted.find(out);
-        if (it != predicted.end()) entry.outputs.emplace_back(out, it->second);
+        const PredictedDataset* p = predicted.Find(out);
+        if (p != nullptr) entry.outputs.emplace_back(out, *p);
       }
       cache_->InsertJob(key, std::move(entry));
     }
-    scheduled.push_back(std::move(sj));
     flow.jobs.push_back(std::move(*df_or));
   }
   count_pass();
-  STUBBY_ASSIGN_OR_RETURN(ScheduleResult sched,
-                          SimulateCluster(scheduled, model_.cluster()));
+  STUBBY_ASSIGN_OR_RETURN(
+      ScheduleTimes sched,
+      SimulateCluster(shape.schedule, times, model_.cluster()));
   flow.makespan_sec = sched.makespan_sec;
-  flow.job_finish_sec = std::move(sched.job_finish_sec);
+  flow.job_finish_sec = std::move(sched.finish_sec);
   return flow;
 }
 

@@ -11,12 +11,14 @@
 #pragma once
 
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/result.h"
 #include "cost/dataflow.h"
 #include "cost/phase_model.h"
+#include "cost/schedule.h"
 #include "mr/cluster.h"
 #include "workflow/plan.h"
 
@@ -24,6 +26,7 @@ namespace stubby {
 
 class CostDigest;
 class CostStore;
+class DatasetPredictions;
 struct CostInstrumentation;
 
 /// Predicted size of a (possibly intermediate) dataset.
@@ -46,21 +49,59 @@ struct CostEstimate {
   WorkflowDataflow dataflow;
 };
 
+/// How a branch's shuffle spreads over the reduce partitions.
+struct ReduceDistribution {
+  int nonempty = 1;
+  double max_fraction = 1.0;  ///< of the branch's shuffle volume
+};
+
+/// What a branch's reduce distribution reads from its partition function
+/// and profile: everything but the reduce count.
+struct ReduceSkew {
+  enum class Kind {
+    kFixed,         ///< range over explicit split points, key histogram
+    kSampledRange,  ///< range over split points sampled at run time
+    kHash,
+  };
+  Kind kind = Kind::kHash;
+  /// kFixed: the distribution itself, read from the histogram over the
+  /// split points — no reduce count changes it.
+  ReduceDistribution fixed;
+  bool key_histogram = false;  ///< kSampledRange: the key was profiled
+  double distinct = 0.0;  ///< distinct partition keys (kHash: 0 = unknown)
+  double hot = 0.0;       ///< the heaviest key's (or group's) share
+};
+
 /// The configuration-independent facts every dataflow prediction over a
-/// plan reads: the jobs in topological order with their upstream jobs and
-/// input/output datasets, and the base inputs' size predictions.
-/// ApplyConfiguration writes only job configurations and the compression
-/// flags of *produced* datasets, so one shape serves every configuration
-/// point of a search over the plan it was built from.
+/// plan reads, built once per configuration search:
+///   - the jobs in topological order with their input/output datasets and
+///     scan groups (GroupBranchInputs);
+///   - the job graph, its dependencies resolved to indices for the
+///     cluster simulation (jobs index it in the same order);
+///   - per branch, the reduce skew: the distinct keys and heaviest key
+///     share from the profile, and for range partitioning over explicit
+///     split points the whole distribution, a histogram scan no reduce
+///     count changes;
+///   - a slot for every dataset a job reads or writes, and the base
+///     inputs' size predictions in theirs.
+/// A configuration point may change job configurations and the compression
+/// flags of the datasets those jobs produce — what ApplyConfiguration
+/// writes — and nothing else: never partition split points, profiles or
+/// the job graph, from which the shape caches derived values.
 struct PlanShape {
   struct Job {
     std::string id;
-    std::vector<std::string> upstream;  ///< Plan::UpstreamJobs
-    std::vector<std::string> inputs;    ///< JobVertex::InputDatasets
-    std::vector<std::string> outputs;   ///< JobVertex::OutputDatasets
+    std::vector<std::string> inputs;   ///< JobVertex::InputDatasets
+    std::vector<std::string> outputs;  ///< JobVertex::OutputDatasets
+    std::vector<InputGroup> groups;    ///< GroupBranchInputs
+    std::vector<ReduceSkew> reduce_skew;  ///< per branch
   };
   std::vector<Job> jobs;  ///< topological order
-  std::map<std::string, PredictedDataset> base_inputs;
+  ScheduleGraph schedule;
+  std::map<std::string, size_t> dataset_slots;
+  /// Per slot, what every pass starts from: the base inputs' predictions,
+  /// nullopt for the datasets jobs produce.
+  std::vector<std::optional<PredictedDataset>> base_inputs;
 };
 
 /// Cost estimator for plans.
@@ -85,10 +126,12 @@ class WhatIfEngine {
   /// Costs one configuration point of a search: `plan` differs from the
   /// plan `shape` was built from (by an engine over the same cluster) at
   /// most in job configurations and the produced datasets' compression
-  /// flags that follow them. Equal to Cost(plan) without rebuilding the
-  /// shape. With a cache attached, `job_digests` (optional) must map every
-  /// job of `plan` to its JobContentDigest — how the RRS loop avoids
-  /// re-digesting jobs it did not touch; without a cache it is ignored.
+  /// flags that follow them — never in split points, profiles or jobs,
+  /// whose derived values the shape caches. Equal to Cost(plan), bit for
+  /// bit, while paying only for what a configuration can change. With a
+  /// cache attached, `job_digests` (optional) must map every job of `plan`
+  /// to its JobContentDigest — how the RRS loop avoids re-digesting jobs
+  /// it did not touch; without a cache it is ignored.
   CostEstimate CostPoint(
       const Plan& plan, const PlanShape& shape,
       const std::map<std::string, CostDigest>* job_digests = nullptr) const;
@@ -115,9 +158,9 @@ class WhatIfEngine {
  private:
   /// Predicts one job's dataflow given predictions for its inputs, and
   /// records predictions for its outputs.
-  Result<JobDataflow> PredictJob(
-      const Plan& plan, const JobVertex& job,
-      std::map<std::string, PredictedDataset>* datasets) const;
+  Result<JobDataflow> PredictJob(const JobVertex& job,
+                                 const PlanShape::Job& shape,
+                                 DatasetPredictions* datasets) const;
 
   /// PredictDataflow over a prebuilt shape, with optional precomputed
   /// per-job content digests for the job-memo keys.

@@ -72,7 +72,9 @@ Result<WorkflowDataflow> WorkflowRunner::Run(
   STUBBY_ASSIGN_OR_RETURN(ScheduleResult sched,
                           SimulateCluster(scheduled, cluster_));
   flow.makespan_sec = sched.makespan_sec;
-  flow.job_finish_sec = std::move(sched.job_finish_sec);
+  for (const ScheduledJob& sj : scheduled) {
+    flow.job_finish_sec.push_back(sched.job_finish_sec.at(sj.id));
+  }
   return flow;
 }
 

@@ -15,6 +15,7 @@
 #include "cost/schedule.h"
 #include "cost/whatif.h"
 #include "optimizer/configuration.h"
+#include "optimizer/stubby.h"
 #include "profiler/profiler.h"
 #include "test_workflows.h"
 #include "workloads/registry.h"
@@ -119,6 +120,41 @@ TEST(PhaseModelTest, MapOutputCompressionTradesCpuForIo) {
   EXPECT_LT(t_on.reduce_avg_sec, t_off.reduce_avg_sec);
 }
 
+// Simulates `jobs` through the id-keyed SimulateCluster and through a graph
+// resolved from the same jobs in reverse order, so graph indices differ
+// from the keyed form's; the two must agree bit for bit, finish times
+// included. Returns the keyed result.
+Result<ScheduleResult> SimulateBothWays(const std::vector<ScheduledJob>& jobs,
+                                        const ClusterSpec& cluster) {
+  auto keyed = SimulateCluster(jobs, cluster);
+  std::vector<std::string> ids;
+  std::vector<std::vector<std::string>> deps;
+  std::vector<JobTaskTimes> times;
+  for (auto it = jobs.rbegin(); it != jobs.rend(); ++it) {
+    ids.push_back(it->id);
+    deps.push_back(it->deps);
+    times.push_back(it->times);
+  }
+  auto graph = ResolveScheduleGraph(ids, deps);
+  EXPECT_EQ(graph.ok(), keyed.ok());
+  if (!graph.ok() || !keyed.ok()) return keyed;
+  auto indexed = SimulateCluster(*graph, times, cluster);
+  EXPECT_TRUE(indexed.ok()) << indexed.status();
+  if (!indexed.ok()) return keyed;
+  EXPECT_EQ(std::memcmp(&indexed->makespan_sec, &keyed->makespan_sec,
+                        sizeof(double)),
+            0);
+  EXPECT_EQ(indexed->finish_sec.size(), keyed->job_finish_sec.size());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    const double keyed_finish = keyed->job_finish_sec.at(ids[i]);
+    EXPECT_EQ(std::memcmp(&indexed->finish_sec[i], &keyed_finish,
+                          sizeof(double)),
+              0)
+        << ids[i];
+  }
+  return keyed;
+}
+
 TEST(ScheduleTest, SingleJobWaves) {
   ClusterSpec cluster;  // 150 map slots, 102 reduce slots
   ScheduledJob j;
@@ -128,7 +164,7 @@ TEST(ScheduleTest, SingleJobWaves) {
   j.times.map_max_sec = 10;
   j.times.reduce_tasks = 0;
   j.times.job_overhead_sec = 5;
-  auto res = SimulateCluster({j}, cluster);
+  auto res = SimulateBothWays({j}, cluster);
   ASSERT_TRUE(res.ok());
   EXPECT_NEAR(res->makespan_sec, 5 + 2 * 10, 1e-6);
 }
@@ -142,7 +178,7 @@ TEST(ScheduleTest, DependentJobsSerialize) {
   b = a;
   b.id = "B";
   b.deps = {"A"};
-  auto res = SimulateCluster({a, b}, cluster);
+  auto res = SimulateBothWays({a, b}, cluster);
   ASSERT_TRUE(res.ok());
   EXPECT_NEAR(res->job_finish_sec.at("A"), 10, 1e-6);
   EXPECT_NEAR(res->makespan_sec, 20, 1e-6);
@@ -156,7 +192,7 @@ TEST(ScheduleTest, IndependentJobsOverlapWhenSlotsAllow) {
   a.times.map_avg_sec = a.times.map_max_sec = 10;
   b = a;
   b.id = "B";
-  auto res = SimulateCluster({a, b}, cluster);
+  auto res = SimulateBothWays({a, b}, cluster);
   ASSERT_TRUE(res.ok());
   EXPECT_NEAR(res->makespan_sec, 10, 1e-6);  // 100 tasks <= 150 slots
 }
@@ -169,7 +205,7 @@ TEST(ScheduleTest, SlotContentionSerializes) {
   a.times.map_avg_sec = a.times.map_max_sec = 10;
   b = a;
   b.id = "B";
-  auto res = SimulateCluster({a, b}, cluster);
+  auto res = SimulateBothWays({a, b}, cluster);
   ASSERT_TRUE(res.ok());
   EXPECT_NEAR(res->makespan_sec, 20, 1e-6);
 }
@@ -182,7 +218,7 @@ TEST(ScheduleTest, ReducesWaitForOwnMapsOnly) {
   a.times.map_avg_sec = a.times.map_max_sec = 10;
   a.times.reduce_tasks = 10;
   a.times.reduce_avg_sec = a.times.reduce_max_sec = 7;
-  auto res = SimulateCluster({a}, cluster);
+  auto res = SimulateBothWays({a}, cluster);
   ASSERT_TRUE(res.ok());
   EXPECT_NEAR(res->makespan_sec, 17, 1e-6);
 }
@@ -198,6 +234,69 @@ TEST(ScheduleTest, RejectsDuplicateIds) {
   ScheduledJob a;
   a.id = "A";
   EXPECT_FALSE(SimulateCluster({a, a}, ClusterSpec()).ok());
+}
+
+TEST(ScheduleTest, RejectsCycles) {
+  ScheduledJob a, b;
+  a.id = "A";
+  a.deps = {"B"};
+  b.id = "B";
+  b.deps = {"A"};
+  EXPECT_FALSE(SimulateCluster({a, b}, ClusterSpec()).ok());
+  EXPECT_FALSE(ResolveScheduleGraph({"A", "B"}, {{"B"}, {"A"}}).ok());
+  EXPECT_FALSE(ResolveScheduleGraph({"A"}, {{"A"}}).ok());
+  EXPECT_FALSE(ResolveScheduleGraph({"A"}, {{"GHOST"}}).ok());
+  EXPECT_FALSE(ResolveScheduleGraph({"A", "A"}, {{}, {}}).ok());
+}
+
+// Seeded random DAGs with zero-task jobs, map-only jobs and siblings that
+// share task times (so FIFO ties break by id): the pre-resolved simulation
+// equals the id-keyed one bit for bit.
+TEST(ScheduleTest, ResolvedGraphMatchesKeyedSimulation) {
+  ClusterSpec cluster;
+  cluster.num_nodes = 4;  // few slots: many waves and slot contention
+  Rng rng(2024);
+  int zero_task_jobs = 0;
+  int tied_siblings = 0;
+  for (int dag = 0; dag < 200; ++dag) {
+    SCOPED_TRACE(dag);
+    const int n = 1 + static_cast<int>(rng.NextUint64(9));
+    std::vector<ScheduledJob> jobs(static_cast<size_t>(n));
+    for (int i = 0; i < n; ++i) {
+      ScheduledJob& j = jobs[static_cast<size_t>(i)];
+      // Ids out of index order, so the id tie-break is not the index one.
+      j.id = "J" + std::to_string(rng.NextUint64(1000)) + "_" +
+             std::to_string(i);
+      for (int d = 0; d < i; ++d) {
+        if (rng.NextUint64(3) == 0) {
+          j.deps.push_back(jobs[static_cast<size_t>(d)].id);
+        }
+      }
+      if (i > 0 && rng.NextUint64(4) == 0) {
+        // A sibling of the previous job: same upstream, same times.
+        j.deps = jobs[static_cast<size_t>(i - 1)].deps;
+        j.times = jobs[static_cast<size_t>(i - 1)].times;
+        ++tied_siblings;
+        continue;
+      }
+      JobTaskTimes& t = j.times;
+      t.map_tasks = rng.NextUint64(5) == 0
+                        ? 0
+                        : 1 + static_cast<int>(rng.NextUint64(60));
+      zero_task_jobs += t.map_tasks == 0;
+      t.reduce_tasks = rng.NextUint64(3) == 0
+                           ? 0
+                           : 1 + static_cast<int>(rng.NextUint64(30));
+      t.map_avg_sec = 1.0 + rng.NextDouble() * 20.0;
+      t.map_max_sec = t.map_avg_sec * (1.0 + rng.NextDouble());
+      t.reduce_avg_sec = 1.0 + rng.NextDouble() * 30.0;
+      t.reduce_max_sec = t.reduce_avg_sec * (1.0 + rng.NextDouble());
+      t.job_overhead_sec = rng.NextUint64(2) == 0 ? 0.0 : rng.NextDouble() * 5;
+    }
+    ASSERT_TRUE(SimulateBothWays(jobs, cluster).ok());
+  }
+  EXPECT_GT(zero_task_jobs, 10);
+  EXPECT_GT(tied_siblings, 10);
 }
 
 TEST(AdjustTest, ComposeStatsMultipliesSelectivitiesAndSumsCpu) {
@@ -482,12 +581,13 @@ TEST(CostCacheTest, CachedCostingIsBitIdentical) {
 }
 
 // The RRS loop builds one plan shape per configuration search and costs
-// every point through CostPoint over it. The shape must therefore hold only configuration-independent facts: after
-// any sequence of points applied to one scratch plan, the point cost —
-// through the per-job memo with precomputed digests, or with no cache at
-// all — equals a fresh, uncached Cost of a copy, bit for bit. Coordinates
-// hit the cube's faces often, so compress_output (which rewrites produced
-// datasets' layouts) flips in both directions.
+// every point through CostPoint over it. The shape must therefore hold only
+// facts no configuration changes: after any sequence of points applied to
+// one scratch plan, the point cost — through the per-job memo with
+// precomputed digests, or with no cache at all — equals a fresh, uncached
+// Cost of a copy, bit for bit. Each workload runs twice: as submitted, and
+// as optimized, where the partition-function transform sets the explicit
+// split points whose range distribution the shape caches.
 TEST(WhatIfTest, PointCostWithShapeMatchesCost) {
   constexpr int kPoints = 60;
   for (const std::string& abbr : AllWorkloadAbbrs()) {
@@ -498,64 +598,83 @@ TEST(WhatIfTest, PointCostWithShapeMatchesCost) {
     ASSERT_TRUE(w.ok()) << w.status();
     Dfs dfs = w->dfs;
     ASSERT_TRUE(Profiler(options.cluster).ProfilePlan(&w->plan, &dfs).ok());
-    const Plan& base = w->plan;
-    const WhatIfEngine reference(base.cluster());
-    ASSERT_FALSE(reference.Cost(base).fallback);
+    auto optimized = StubbyOptimizer().Optimize(w->plan);
+    ASSERT_TRUE(optimized.ok()) << optimized.status();
+    int range_branches = 0;
 
-    std::vector<std::pair<std::string, ConfigSpace>> spaces;
-    for (const auto& [id, job] : base.jobs()) {
-      ConfigSpace space = SpaceForJob(job, base.cluster());
-      if (space.size() > 0) spaces.emplace_back(id, std::move(space));
-    }
-    ASSERT_FALSE(spaces.empty());
+    for (const Plan* base : {&w->plan, &optimized->plan}) {
+      SCOPED_TRACE(base == &w->plan ? "submitted" : "optimized");
+      const WhatIfEngine reference(base->cluster());
+      ASSERT_FALSE(reference.Cost(*base).fallback);
 
-    for (const bool cached : {true, false}) {
-      SCOPED_TRACE(cached ? "cache and digests" : "no cache");
-      WhatIfEngine engine(base.cluster());
-      CostCache cache;
-      CostInstrumentation stats;
-      if (cached) engine.set_cache(&cache);
-      engine.set_instrumentation(&stats);
-      Plan scratch = base;
-      const auto shape = engine.Shape(scratch);
-      ASSERT_TRUE(shape.ok()) << shape.status();
+      std::vector<std::pair<std::string, ConfigSpace>> spaces;
+      for (const auto& [id, job] : base->jobs()) {
+        ConfigSpace space = SpaceForJob(job, base->cluster());
+        if (space.size() > 0) spaces.emplace_back(id, std::move(space));
+      }
+      ASSERT_FALSE(spaces.empty());
 
-      Rng rng(97);
-      int compress_flips = 0;
-      for (int p = 0; p < kPoints; ++p) {
-        for (const auto& [id, space] : spaces) {
-          // Each point re-draws about half the jobs, so the others replay
-          // from the per-job memo in the cached leg.
-          if (rng.NextUint64(2) == 0) continue;
-          std::vector<double> slice(space.size());
-          for (double& u : slice) {
-            u = rng.NextUint64(4) == 0 ? double(rng.NextUint64(2))
-                                       : rng.NextDouble();
+      for (const bool cached : {true, false}) {
+        SCOPED_TRACE(cached ? "cache and digests" : "no cache");
+        WhatIfEngine engine(base->cluster());
+        CostCache cache;
+        CostInstrumentation stats;
+        if (cached) engine.set_cache(&cache);
+        engine.set_instrumentation(&stats);
+        Plan scratch = *base;
+        const auto shape = engine.Shape(scratch);
+        ASSERT_TRUE(shape.ok()) << shape.status();
+        if (!cached && base == &optimized->plan) {
+          for (const PlanShape::Job& job : shape->jobs) {
+            for (const ReduceSkew& skew : job.reduce_skew) {
+              range_branches += skew.kind == ReduceSkew::Kind::kFixed;
+            }
           }
-          const JobConfig& current = (*scratch.GetJob(id))->config;
-          JobConfig config = space.PointToConfig(slice, current);
-          if (config.compress_output != current.compress_output) {
-            ++compress_flips;
-          }
-          ASSERT_TRUE(ApplyConfiguration(&scratch, id, config).ok());
         }
-        const auto digests = JobContentDigests(scratch);
-        const CostEstimate point =
-            engine.CostPoint(scratch, *shape, cached ? &digests : nullptr);
-        const Plan copy = scratch;
-        const CostEstimate fresh = reference.Cost(copy);
-        ASSERT_FALSE(fresh.fallback) << p;
-        EXPECT_FALSE(point.fallback) << p;
-        ASSERT_EQ(std::memcmp(&point.cost, &fresh.cost, sizeof(double)), 0)
-            << "point " << p << ": " << point.cost << " vs " << fresh.cost;
-        EXPECT_EQ(point.dataflow.job_finish_sec, fresh.dataflow.job_finish_sec)
-            << p;
+
+        Rng rng(97);
+        int compress_flips = 0;
+        for (int p = 0; p < kPoints; ++p) {
+          for (const auto& [id, space] : spaces) {
+            // Each point re-draws about half the jobs, so the others
+            // replay from the per-job memo in the cached leg.
+            if (rng.NextUint64(2) == 0) continue;
+            std::vector<double> slice(space.size());
+            for (double& u : slice) {
+              u = rng.NextUint64(4) == 0 ? double(rng.NextUint64(2))
+                                         : rng.NextDouble();
+            }
+            const JobConfig& current = (*scratch.GetJob(id))->config;
+            JobConfig config = space.PointToConfig(slice, current);
+            if (config.compress_output != current.compress_output) {
+              ++compress_flips;
+            }
+            ASSERT_TRUE(ApplyConfiguration(&scratch, id, config).ok());
+          }
+          const auto digests = JobContentDigests(scratch);
+          const CostEstimate point =
+              engine.CostPoint(scratch, *shape, cached ? &digests : nullptr);
+          const Plan copy = scratch;
+          const CostEstimate fresh = reference.Cost(copy);
+          ASSERT_FALSE(fresh.fallback) << p;
+          EXPECT_FALSE(point.fallback) << p;
+          ASSERT_EQ(std::memcmp(&point.cost, &fresh.cost, sizeof(double)), 0)
+              << "point " << p << ": " << point.cost << " vs " << fresh.cost;
+          EXPECT_EQ(point.dataflow.job_finish_sec,
+                    fresh.dataflow.job_finish_sec)
+              << p;
+        }
+        EXPECT_GT(compress_flips, 5);
+        EXPECT_EQ(stats.whatif_invocations, static_cast<uint64_t>(kPoints));
+        if (cached) {
+          EXPECT_GT(stats.job_cache_hits, 0u);
+        }
       }
-      EXPECT_GT(compress_flips, 5);
-      EXPECT_EQ(stats.whatif_invocations, static_cast<uint64_t>(kPoints));
-      if (cached) {
-        EXPECT_GT(stats.job_cache_hits, 0u);
-      }
+    }
+    // BR's optimized plan range-partitions over explicit split points, so
+    // its points read the range distribution from the shape.
+    if (abbr == "BR") {
+      EXPECT_GT(range_branches, 0);
     }
   }
 }
